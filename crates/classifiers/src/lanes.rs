@@ -5,16 +5,12 @@
 //! reduce is "fold one partial into one total" (`acc[k] += row[k]`).
 //! Both are embarrassingly lane-parallel: every `k` is its own
 //! independent IEEE chain, so processing the slices in fixed-width
-//! chunks — or with explicit SIMD — performs **bit-identical**
-//! arithmetic to the scalar loop, in any order. The kernels here
-//! exploit that:
+//! chunks performs **bit-identical** arithmetic to the scalar loop, in
+//! any order. The kernels here exploit that:
 //!
-//! * the default (stable-Rust) build walks `chunks_exact(LANES)` with a
-//!   fixed-count inner loop over `[f64; LANES]` arrays, the shape rustc
-//!   reliably unrolls and autovectorizes;
-//! * with the nightly-only `simd` cargo feature the same chunks go
-//!   through `std::simd` vectors (element-wise mul + add, no FMA
-//!   contraction, so still the exact scalar results);
+//! * the chunks walk `chunks_exact(LANES)` with a fixed-count inner loop
+//!   over `[f64; LANES]` arrays, the shape rustc reliably unrolls and
+//!   autovectorizes on stable Rust;
 //! * the remainder (lengths not divisible by `LANES` — vocabulary
 //!   dimensions and lane strides rarely are) runs the scalar tail.
 //!
@@ -49,7 +45,7 @@ impl LaneWeight for f32 {
 }
 
 /// Scalar reference kernel: `acc[k] += x * row[k]` for every lane `k`.
-/// The chunked/SIMD [`axpy`] must match this bitwise (proptested below).
+/// The chunked [`axpy`] must match this bitwise (proptested below).
 #[inline]
 pub fn axpy_scalar<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
     debug_assert_eq!(acc.len(), row.len());
@@ -60,7 +56,6 @@ pub fn axpy_scalar<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
 
 /// Chunked `acc[k] += x * row[k]`: fixed-width `[f64; LANES]` chunks
 /// with a scalar tail, bit-identical to [`axpy_scalar`].
-#[cfg(not(feature = "simd"))]
 #[inline]
 pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
     debug_assert_eq!(acc.len(), row.len());
@@ -72,30 +67,6 @@ pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
         for k in 0..LANES {
             a[k] += x * w[k].to_f64();
         }
-    }
-    for (a, w) in acc_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(row_chunks.remainder())
-    {
-        *a += x * w.to_f64();
-    }
-}
-
-/// `std::simd` variant of [`axpy`]: element-wise multiply and add (no
-/// FMA contraction), so every lane still runs the exact scalar chain.
-#[cfg(feature = "simd")]
-#[inline]
-pub fn axpy<W: LaneWeight>(acc: &mut [f64], x: f64, row: &[W]) {
-    use std::simd::Simd;
-    debug_assert_eq!(acc.len(), row.len());
-    let xs = Simd::<f64, LANES>::splat(x);
-    let mut acc_chunks = acc.chunks_exact_mut(LANES);
-    let mut row_chunks = row.chunks_exact(LANES);
-    for (a, w) in acc_chunks.by_ref().zip(row_chunks.by_ref()) {
-        let wv = Simd::<f64, LANES>::from_array(std::array::from_fn(|k| w[k].to_f64()));
-        let av = Simd::<f64, LANES>::from_slice(a) + xs * wv;
-        a.copy_from_slice(av.as_array());
     }
     for (a, w) in acc_chunks
         .into_remainder()
@@ -119,7 +90,6 @@ pub fn add_assign_scalar(acc: &mut [f64], addend: &[f64]) {
 /// Chunked `acc[k] += addend[k]`, bit-identical to
 /// [`add_assign_scalar`]. Used to fold MaxEnt expectation partials over
 /// vocabulary-sized vectors (whose lengths are rarely `LANES`-aligned).
-#[cfg(not(feature = "simd"))]
 #[inline]
 pub fn add_assign(acc: &mut [f64], addend: &[f64]) {
     debug_assert_eq!(acc.len(), addend.len());
@@ -131,27 +101,6 @@ pub fn add_assign(acc: &mut [f64], addend: &[f64]) {
         for k in 0..LANES {
             a[k] += b[k];
         }
-    }
-    for (a, b) in acc_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(add_chunks.remainder())
-    {
-        *a += b;
-    }
-}
-
-/// `std::simd` variant of [`add_assign`].
-#[cfg(feature = "simd")]
-#[inline]
-pub fn add_assign(acc: &mut [f64], addend: &[f64]) {
-    use std::simd::Simd;
-    debug_assert_eq!(acc.len(), addend.len());
-    let mut acc_chunks = acc.chunks_exact_mut(LANES);
-    let mut add_chunks = addend.chunks_exact(LANES);
-    for (a, b) in acc_chunks.by_ref().zip(add_chunks.by_ref()) {
-        let av = Simd::<f64, LANES>::from_slice(a) + Simd::<f64, LANES>::from_slice(b);
-        a.copy_from_slice(av.as_array());
     }
     for (a, b) in acc_chunks
         .into_remainder()

@@ -68,23 +68,12 @@ USAGE:
                   gate binary loads beating JSON cold starts)
   urlid serve    --model <model> [--format auto|json|binary]
                  [--addr <host:port>] [--threads <n>]
-                 [--reactors <n>] [--pool shared|partitioned]
-                 [--io auto|uring|epoll]
-                 [--max-inflight <n>] [--cache-capacity <n>]
+                 [--reactors <n>] [--max-inflight <n>] [--cache-capacity <n>]
                  [--weights f64|f32] [--telemetry on|off] [--slow-ms <n>]
                  (--threads sizes the scoring pool; connections are
                   multiplexed by --reactors event-loop threads, each
                   owning its own SO_REUSEPORT listener and cache shard
                   set; 0 = min(cores, 4), the default.
-                  --pool picks the scoring topology: shared (one
-                  work-conserving queue, default) or partitioned
-                  (dedicated workers per reactor).
-                  --io picks the reactor I/O engine: auto (default)
-                  probes io_uring and falls back to epoll when the
-                  kernel or a sandbox denies it (URLID_NO_URING forces
-                  the fallback); uring requires the rings; epoll forces
-                  the readiness poller. /metrics reports the choice as
-                  reactors.io_backend.
                   --max-inflight caps scoring-pool requests per reactor;
                   the excess is answered 503 — 0 = unlimited, default 32.
                   --weights f32 serves the quantised f32 weight lane:
@@ -434,12 +423,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // be sized one-per-reactor.
         config.reactors = urlid_serve::server::default_reactors();
     }
-    config.pool = match args.get("pool").unwrap_or("shared") {
-        "shared" => urlid_serve::server::PoolTopology::Shared,
-        "partitioned" => urlid_serve::server::PoolTopology::Partitioned,
-        other => return Err(format!("unknown --pool {other:?} (shared|partitioned)")),
-    };
-    config.io = urlid_serve::server::IoBackend::parse(args.get("io").unwrap_or("auto"))?;
     if let Some(max_inflight) = args.get("max-inflight") {
         config.max_inflight = max_inflight
             .parse()
@@ -482,7 +465,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         model_path.display(),
         handle.addr(),
         config.reactors,
-        handle.state().metrics().io_backend(),
+        urlid_serve::metrics::IO_BACKEND,
     );
     let failed = handle.join();
     if failed > 0 {

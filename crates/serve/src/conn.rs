@@ -27,9 +27,9 @@
 use crate::http::{self, HttpError, ParserLimits, Request, RequestParser};
 use crate::metrics::{ReactorStats, TRACE_STRIPES};
 use crate::server::{error_body, ServerState};
-use crate::sys::{Backend, Interest};
+use crate::sys::Interest;
 use std::collections::VecDeque;
-use std::io::{self, IoSlice};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -134,11 +134,6 @@ enum Phase {
 /// One client connection: socket, parser, pending output.
 pub(crate) struct Conn {
     stream: TcpStream,
-    /// This connection's generation-tagged slab token — the identity
-    /// under which its socket is registered with the I/O backend (the
-    /// uring engine keys its per-connection staging by it; readiness
-    /// engines ignore it).
-    token: u64,
     /// Shared server state, for the error counter (protocol-level
     /// `400`/`413` rejections bypass the router but must still count).
     state: Arc<ServerState>,
@@ -175,10 +170,8 @@ pub(crate) struct Conn {
 
 impl Conn {
     /// Adopt an accepted stream: non-blocking, Nagle off.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         stream: TcpStream,
-        token: u64,
         limits: ParserLimits,
         state: Arc<ServerState>,
         stats: Arc<ReactorStats>,
@@ -190,7 +183,6 @@ impl Conn {
         let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
-            token,
             state,
             stats,
             reactor,
@@ -266,10 +258,10 @@ impl Conn {
     /// per request is measurable at six-figure request rates). Only a
     /// completely full chunk keeps reading, to drain large bodies in
     /// fewer loop iterations.
-    pub(crate) fn on_readable(&mut self, io: &mut dyn Backend, now: Instant) -> Step {
+    pub(crate) fn on_readable(&mut self, now: Instant) -> Step {
         let mut chunk = [0u8; 8192];
         loop {
-            match io.read(self.token, &self.stream, &mut chunk) {
+            match (&self.stream).read(&mut chunk) {
                 Ok(0) => {
                     self.peer_closed = true;
                     break;
@@ -294,13 +286,13 @@ impl Conn {
                 Err(_) => return Step::Close,
             }
         }
-        self.advance(io, now)
+        self.advance(now)
     }
 
     /// The poller says the socket is writable: flush pending output.
-    pub(crate) fn on_writable(&mut self, io: &mut dyn Backend, now: Instant) -> Step {
-        match self.flush_output(io, now) {
-            Ok(()) => self.advance(io, now),
+    pub(crate) fn on_writable(&mut self, now: Instant) -> Step {
+        match self.flush_output(now) {
+            Ok(()) => self.advance(now),
             Err(_) => Step::Close,
         }
     }
@@ -313,7 +305,6 @@ impl Conn {
     /// on later writable events and is not re-counted.
     pub(crate) fn complete(
         &mut self,
-        io: &mut dyn Backend,
         response: Vec<u8>,
         keep_alive: bool,
         request_id: u64,
@@ -327,7 +318,7 @@ impl Conn {
         self.queue_bytes(response);
         self.last_activity = now;
         let write_started = Instant::now();
-        let flushed = self.flush_output(io, now);
+        let flushed = self.flush_output(now);
         let metrics = self.state.metrics();
         metrics.record_stage_into(
             &self.stats.write,
@@ -339,7 +330,7 @@ impl Conn {
         if flushed.is_err() {
             return Step::Close;
         }
-        self.advance(io, now)
+        self.advance(now)
     }
 
     /// Queue a response for writing (whole segments; never memmoved).
@@ -351,12 +342,12 @@ impl Conn {
     /// gathers the queued response segments into one vectored write, so
     /// a burst of pipelined responses costs one `writev` syscall instead
     /// of one `write` per response.
-    fn flush_output(&mut self, io: &mut dyn Backend, now: Instant) -> io::Result<()> {
+    fn flush_output(&mut self, now: Instant) -> io::Result<()> {
         while !self.out.is_empty() {
             let written = {
                 let mut slices = [IoSlice::new(&[]); MAX_WRITE_SEGMENTS];
                 let count = self.out.gather(&mut slices);
-                match io.write_vectored(self.token, &self.stream, &slices[..count]) {
+                match (&self.stream).write_vectored(&slices[..count]) {
                     Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                     Ok(n) => n,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
@@ -373,8 +364,8 @@ impl Conn {
     /// Drive the state machine as far as it goes without new events:
     /// flush output, then either finish (close-after-write), parse the
     /// next buffered request, or wait for more bytes.
-    fn advance(&mut self, io: &mut dyn Backend, now: Instant) -> Step {
-        if self.flush_output(io, now).is_err() {
+    fn advance(&mut self, now: Instant) -> Step {
+        if self.flush_output(now).is_err() {
             return Step::Close;
         }
         if !self.out.is_empty() {
@@ -421,8 +412,8 @@ impl Conn {
                     Step::Continue
                 }
             }
-            Err(HttpError::Malformed(m)) => self.reject(io, 400, &m, now),
-            Err(HttpError::TooLarge(m)) => self.reject(io, 413, &m, now),
+            Err(HttpError::Malformed(m)) => self.reject(400, &m, now),
+            Err(HttpError::TooLarge(m)) => self.reject(413, &m, now),
             Err(HttpError::Io(_)) => Step::Close,
         }
     }
@@ -430,7 +421,7 @@ impl Conn {
     /// Answer a protocol violation with an error response and close.
     /// (The parse error left the stream unsynchronisable, so the
     /// connection cannot be reused.)
-    fn reject(&mut self, io: &mut dyn Backend, status: u16, message: &str, now: Instant) -> Step {
+    fn reject(&mut self, status: u16, message: &str, now: Instant) -> Step {
         // These rejections never reach the router, but they are error
         // responses all the same — the /metrics errors counter must
         // see the abuse the parser limits exist to surface. The same
@@ -457,7 +448,7 @@ impl Conn {
         );
         self.close_after_write = true;
         self.queue_bytes(http::response_bytes(status, &error_body(message), false));
-        if self.flush_output(io, now).is_err() || self.out.is_empty() {
+        if self.flush_output(now).is_err() || self.out.is_empty() {
             return Step::Close;
         }
         Step::Continue
@@ -477,12 +468,7 @@ impl Conn {
     /// folding those near-zero samples into the latency percentiles
     /// would flatter them exactly when the server is overloaded. The
     /// load generator measures overload latency from the client side.
-    pub(crate) fn reject_overload(
-        &mut self,
-        io: &mut dyn Backend,
-        keep_alive: bool,
-        now: Instant,
-    ) -> Step {
+    pub(crate) fn reject_overload(&mut self, keep_alive: bool, now: Instant) -> Step {
         debug_assert!(self.phase == Phase::InFlight, "overload without dispatch");
         self.phase = Phase::Idle;
         self.stats.admission_rejects.fetch_add(1, Ordering::Relaxed);
@@ -496,9 +482,9 @@ impl Conn {
             keep_alive,
             self.reactor as u64,
         ));
-        if self.flush_output(io, now).is_err() {
+        if self.flush_output(now).is_err() {
             return Step::Close;
         }
-        self.advance(io, now)
+        self.advance(now)
     }
 }

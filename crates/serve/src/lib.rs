@@ -9,15 +9,11 @@
 //! has no crates.io access, so no tokio/hyper/mio — the same vendoring
 //! philosophy as the rest of the workspace):
 //!
-//! * [`sys`] — the pluggable I/O engines behind one `Backend` trait: a
-//!   hand-rolled **io_uring** engine (raw `io_uring_setup`/`enter`
-//!   syscalls, mmap'd SQ/CQ rings, one batched submission per loop
-//!   iteration) next to the readiness pollers (epoll on Linux,
-//!   `poll(2)` on other unix targets), the self-pipe waker, and the
-//!   `SO_REUSEPORT` listener binder behind the reactor sharding (the
-//!   one module with `unsafe` in it). `--io auto` probes io_uring at
-//!   boot and falls back to epoll where the kernel or a sandbox denies
-//!   it;
+//! * [`sys`] — the raw Linux syscall wrappers: the level-triggered
+//!   **epoll** poller every reactor multiplexes its sockets through,
+//!   the self-pipe waker, and the `SO_REUSEPORT` listener binder behind
+//!   the reactor sharding (the one module with `unsafe` in it). The
+//!   crate is Linux-only;
 //! * [`http`] — a minimal HTTP/1.1 codec whose server side is an
 //!   **incremental parser** (feed bytes → `NeedMore | Request | Error`)
 //!   that tolerates partial reads, pipelined requests and slow clients
@@ -89,11 +85,13 @@
 //! handle.join();
 //! ```
 
-// `unsafe` is confined to the raw syscall wrappers and the io_uring
-// engine in `sys` (which carries its own `allow`); everything above
-// the `Backend` trait is safe code.
+// `unsafe` is confined to the raw syscall wrappers in `sys` (which
+// carries its own `allow`); everything above them is safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("urlid-serve is Linux-only: its reactors are built on epoll");
 
 pub mod cache;
 mod conn;
@@ -110,4 +108,4 @@ pub use loadgen::{
     run_loadgen, run_suite, BenchReport, BenchSuite, LoadgenConfig, SERVE_BENCH_SCHEMA,
 };
 pub use metrics::Metrics;
-pub use server::{default_reactors, spawn, PoolTopology, ServeConfig, ServerHandle, ServerState};
+pub use server::{default_reactors, spawn, ServeConfig, ServerHandle, ServerState};

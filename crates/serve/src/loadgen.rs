@@ -61,10 +61,9 @@ use urlid_telemetry::Histogram;
 /// histogram and added `p999_ms`. Version 4 added the multi-reactor
 /// columns (`reactors`, `per_reactor`), the open-loop fields
 /// (`arrival_rps`), and `admission_rejects`. Version 5 added the
-/// per-scenario `io_backend` (which reactor I/O engine — `uring`,
-/// `epoll` or `poll` — the server ran, read from `/metrics`), so an
-/// io_uring number is never compared against an epoll baseline without
-/// the label saying so.
+/// per-scenario `io_backend` (the reactor I/O engine the server ran,
+/// read from `/metrics`; always `epoll` since the server has one
+/// engine, kept so saved reports keep parsing).
 pub const SERVE_BENCH_SCHEMA: u32 = 5;
 
 /// Load-generator configuration for one scenario.
@@ -145,29 +144,32 @@ impl LatencySummary {
     }
 }
 
-/// Server-side cache statistics, read from `GET /metrics` after the run.
+/// Server-side cache statistics of one scenario: the difference of the
+/// `GET /metrics` cache counters read before and after it, so a
+/// scenario run on a server that already served traffic reports only
+/// its own lookups.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CacheSummary {
-    /// Cache hits over the server's lifetime.
+    /// Cache hits during the scenario.
     pub hits: u64,
-    /// Cache misses over the server's lifetime.
+    /// Cache misses during the scenario.
     pub misses: u64,
-    /// Hits over lookups.
+    /// Hits over the scenario's lookups (`0` when it made none).
     pub hit_rate: f64,
 }
 
-/// One reactor's share of the run, read from `GET /metrics` afterwards
-/// — shows how evenly the kernel balanced accepts across the
-/// `SO_REUSEPORT` listeners.
+/// One reactor's share of the run — the difference of its `GET
+/// /metrics` counters before and after the scenario; shows how evenly
+/// the kernel balanced accepts across the `SO_REUSEPORT` listeners.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReactorSample {
     /// Reactor index.
     pub reactor: u64,
-    /// Connections this reactor accepted.
+    /// Connections this reactor accepted during the scenario.
     pub accepted: u64,
-    /// Idle-timeout evictions on this reactor.
+    /// Idle-timeout evictions on this reactor during the scenario.
     pub timed_out: u64,
-    /// Admission-control 503s answered by this reactor.
+    /// Admission-control 503s this reactor answered during the scenario.
     pub admission_rejects: u64,
 }
 
@@ -211,18 +213,17 @@ pub struct BenchReport {
     /// Reactor count read from `GET /metrics` after the run (0 when the
     /// server predates the gauge).
     pub reactors: u64,
-    /// Reactor I/O engine the server ran (`uring`, `epoll` or `poll`),
-    /// read from `GET /metrics` after the run; empty when the server
-    /// predates the field. Keeps uring and epoll numbers from being
-    /// compared unlabelled.
+    /// Reactor I/O engine the server ran (`epoll`), read from `GET
+    /// /metrics` after the run; empty when the server predates the
+    /// field.
     #[serde(default)]
     pub io_backend: String,
-    /// Per-reactor accept/evict/reject breakdown read from
-    /// `GET /metrics` after the run (empty when unavailable).
+    /// Per-reactor accept/evict/reject breakdown of the scenario, from
+    /// `GET /metrics` before and after it (empty when unavailable).
     pub per_reactor: Vec<ReactorSample>,
     /// Client-side latency percentiles over the active requests.
     pub latency: LatencySummary,
-    /// Server-side cache statistics.
+    /// Server-side cache statistics of the scenario.
     pub cache: CacheSummary,
 }
 
@@ -434,6 +435,42 @@ struct ServerSnapshot {
     io_backend: String,
     /// `connections.per_reactor`, one sample per reactor.
     per_reactor: Vec<ReactorSample>,
+    /// The reactor that accepted this probe's own connection (its
+    /// `X-Urlid-Reactor` header).
+    probe_reactor: Option<u64>,
+}
+
+impl ServerSnapshot {
+    /// The counters of what happened between `before` and this
+    /// snapshot. The connection this snapshot was read over is not the
+    /// scenario's, so its accept is taken back out.
+    fn since(mut self, before: &ServerSnapshot) -> ServerSnapshot {
+        self.cache.hits = self.cache.hits.saturating_sub(before.cache.hits);
+        self.cache.misses = self.cache.misses.saturating_sub(before.cache.misses);
+        let lookups = self.cache.hits + self.cache.misses;
+        self.cache.hit_rate = if lookups == 0 {
+            0.0
+        } else {
+            self.cache.hits as f64 / lookups as f64
+        };
+        for sample in &mut self.per_reactor {
+            if let Some(old) = before
+                .per_reactor
+                .iter()
+                .find(|b| b.reactor == sample.reactor)
+            {
+                sample.accepted = sample.accepted.saturating_sub(old.accepted);
+                sample.timed_out = sample.timed_out.saturating_sub(old.timed_out);
+                sample.admission_rejects = sample
+                    .admission_rejects
+                    .saturating_sub(old.admission_rejects);
+            }
+            if Some(sample.reactor) == self.probe_reactor {
+                sample.accepted = sample.accepted.saturating_sub(1);
+            }
+        }
+        self
+    }
 }
 
 fn fetch_server_stats(addr: &str) -> io::Result<ServerSnapshot> {
@@ -441,7 +478,7 @@ fn fetch_server_stats(addr: &str) -> io::Result<ServerSnapshot> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     http::write_request(&mut writer, "GET", "/metrics", None)?;
-    let (status, body) = http::read_response(&mut reader)?;
+    let (status, probe_reactor, body) = http::read_response_tagged(&mut reader)?;
     if status != 200 {
         return Err(io::Error::other(format!("/metrics returned {status}")));
     }
@@ -500,6 +537,7 @@ fn fetch_server_stats(addr: &str) -> io::Result<ServerSnapshot> {
         max_inflight,
         io_backend,
         per_reactor,
+        probe_reactor,
     })
 }
 
@@ -509,6 +547,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<BenchReport> {
     let concurrency = config.concurrency.max(1);
     let urls = UrlGenerator::crawl_frontier_mix(config.seed, config.unique_urls.max(1));
     let per_worker = config.requests.div_ceil(concurrency);
+    let before = fetch_server_stats(&config.addr)?;
 
     // Phase 1: build the idle population (serving one request each).
     let (mut idle_conns, mut errors) =
@@ -568,7 +607,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> io::Result<BenchReport> {
     // requests the client waited for); throughput counts only the 200s.
     let active_ok = latencies.count().saturating_sub(admission_rejects);
     completed += active_ok;
-    let snapshot = fetch_server_stats(&config.addr)?;
+    let snapshot = fetch_server_stats(&config.addr)?.since(&before);
     let report = BenchReport {
         bench: "serve".to_owned(),
         schema: SERVE_BENCH_SCHEMA,

@@ -16,10 +16,16 @@
 //! counters and end-to-end latency stay on regardless.
 
 use serde::Value;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use urlid_telemetry::{AtomicHistogram, Histogram, SlowLog, SpanRecord, Stage, TraceBuffer};
+
+/// The reactors' I/O engine, as reported by `/healthz`, the `/metrics`
+/// JSON `reactors.io_backend` field and the Prometheus `io` label.
+/// There is one engine; the field stays so scrapers and saved bench
+/// reports keep parsing.
+pub const IO_BACKEND: &str = "epoll";
 
 /// Trace ring stripes. Reactor `r` records into stripe `r %
 /// TRACE_STRIPES`; worker `i` records into `1 + (i % 7)` — recording
@@ -103,10 +109,6 @@ pub struct Metrics {
     /// Whether the listeners share one port via `SO_REUSEPORT` (true)
     /// or fall back to accept-racing clones of a single listener.
     pub reuseport: AtomicBool,
-    /// Which I/O engine the reactors multiplex through, recorded at
-    /// spawn after the `--io` capability probe resolved: 0 = epoll,
-    /// 1 = uring, 2 = poll (see [`Metrics::io_backend`]).
-    io_backend: AtomicU8,
     /// Scoring-pool size, recorded at spawn (the reactors add
     /// `threads.reactor` more; together they are the server's whole
     /// thread budget).
@@ -152,7 +154,6 @@ impl Metrics {
             reactors_failed: AtomicU64::new(0),
             max_inflight: AtomicU64::new(0),
             reuseport: AtomicBool::new(false),
-            io_backend: AtomicU8::new(0),
             scoring_threads: AtomicU64::new(0),
             latency: AtomicHistogram::new(),
             slow: SlowLog::new(),
@@ -442,30 +443,8 @@ impl Metrics {
             "reuseport",
             Value::Bool(self.reuseport.load(Ordering::Relaxed)),
         );
-        reactors.insert("io_backend", Value::Str(self.io_backend().to_owned()));
+        reactors.insert("io_backend", Value::Str(IO_BACKEND.to_owned()));
         reactors
-    }
-
-    /// Record which I/O engine the reactors were spawned with (one of
-    /// `"epoll"`, `"uring"`, `"poll"`; anything else is recorded as
-    /// epoll — the engine resolution only produces those three).
-    pub fn set_io_backend(&self, name: &str) {
-        let code = match name {
-            "uring" => 1,
-            "poll" => 2,
-            _ => 0,
-        };
-        self.io_backend.store(code, Ordering::Relaxed);
-    }
-
-    /// The I/O engine name recorded at spawn (`/metrics` JSON
-    /// `reactors.io_backend`, the Prometheus `io` label, `/healthz`).
-    pub fn io_backend(&self) -> &'static str {
-        match self.io_backend.load(Ordering::Relaxed) {
-            1 => "uring",
-            2 => "poll",
-            _ => "epoll",
-        }
     }
 
     /// The thread-budget section of the `/metrics` response: the

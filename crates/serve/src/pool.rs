@@ -10,20 +10,13 @@
 //! *slower* on few-core boxes — each write immediately woke its client
 //! and shredded the batch.)
 //!
-//! Two topologies, selected by `ServeConfig::pool`:
-//!
-//! * **Shared** (default): one job channel feeds every worker, any
-//!   worker serves any reactor. Work-conserving — a traffic imbalance
-//!   between reactors (the kernel balances *connections*, not
-//!   *requests*) never strands CPU behind an idle reactor's private
-//!   queue. The shared channel's mutex is the one cross-reactor lock in
-//!   the system, and it sits on the *pool* side of the dispatch
-//!   boundary, after the reactor has already handed the request off.
-//! * **Partitioned**: each reactor owns a private job channel and a
-//!   dedicated worker subset — zero cross-reactor contention anywhere,
-//!   at the price of fragmenting the pool (an overloaded reactor cannot
-//!   borrow a sibling's idle workers). Measured head-to-head in the
-//!   README's serving-architecture section.
+//! One job channel feeds every worker, and any worker serves any
+//! reactor. The pool is work-conserving: a traffic imbalance between
+//! reactors (the kernel balances *connections*, not *requests*) never
+//! strands CPU behind an idle reactor. The shared channel's mutex is
+//! the one cross-reactor lock in the system, and it sits on the *pool*
+//! side of the dispatch boundary, after the reactor has already handed
+//! the request off.
 //!
 //! A reactor is woken through its self-pipe, but the wake syscall is
 //! **elided for all but the first completion of a burst**: workers
@@ -36,7 +29,7 @@
 //! to over-provision past the cores.
 
 use crate::http::{self, Request};
-use crate::server::{route, PoolTopology, RequestTrace, ServerState};
+use crate::server::{route, RequestTrace, ServerState};
 use crate::sys::Waker;
 use std::io;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -106,53 +99,25 @@ pub(crate) struct ScoringPool {
 }
 
 impl ScoringPool {
-    /// Spawn the pool for `ports.len()` reactors. Returns the pool and
-    /// one job sender per reactor — in the shared topology they are
-    /// clones of one channel, in the partitioned topology each is
-    /// private. Workers exit when every sender they serve is dropped
-    /// (the owning reactors exiting).
+    /// Spawn `threads` workers (at least one) serving the reactors
+    /// behind `ports`. Returns the pool and the job sender every
+    /// reactor clones; workers exit once every clone is dropped (the
+    /// reactors exiting).
     pub(crate) fn spawn(
-        topology: PoolTopology,
         threads: usize,
         state: &Arc<ServerState>,
         ports: Vec<CompletionPort>,
-    ) -> io::Result<(ScoringPool, Vec<Sender<Job>>)> {
-        let reactors = ports.len().max(1);
+    ) -> io::Result<(ScoringPool, Sender<Job>)> {
         let ports = Arc::new(ports);
-        let mut workers = Vec::with_capacity(threads.max(reactors));
-        let mut senders = Vec::with_capacity(reactors);
-        match topology {
-            PoolTopology::Shared => {
-                let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-                let job_rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(job_rx));
-                for i in 0..threads.max(1) {
-                    workers.push(spawn_worker(i, &job_rx, state, &ports)?);
-                }
-                senders.resize_with(reactors, || job_tx.clone());
-            }
-            PoolTopology::Partitioned => {
-                // Split the budget as evenly as it goes, never starving
-                // a reactor of its last worker.
-                let base = threads / reactors;
-                let extra = threads % reactors;
-                let mut next_worker = 0usize;
-                for r in 0..reactors {
-                    let count = (base + usize::from(r < extra)).max(1);
-                    let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-                    let job_rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(job_rx));
-                    for _ in 0..count {
-                        workers.push(spawn_worker(next_worker, &job_rx, state, &ports)?);
-                        next_worker += 1;
-                    }
-                    senders.push(job_tx);
-                }
-            }
-        }
-        Ok((ScoringPool { workers }, senders))
+        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
+        let job_rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(job_rx));
+        let workers = (0..threads.max(1))
+            .map(|i| spawn_worker(i, &job_rx, state, &ports))
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok((ScoringPool { workers }, job_tx))
     }
 
-    /// How many worker threads are actually running (the partitioned
-    /// split can round the requested budget up to one per reactor).
+    /// How many worker threads are running.
     pub(crate) fn threads(&self) -> usize {
         self.workers.len()
     }

@@ -3,17 +3,16 @@
 //! Each of the server's `N` reactors is a single event loop owning its
 //! own listening socket (an `SO_REUSEPORT` sibling — see
 //! `server::bind_listeners`), its own wake pipe, and its own slab of
-//! [`Conn`] state machines, all registered in one I/O engine behind the
-//! [`Backend`] trait (io_uring or epoll on Linux, `poll(2)` elsewhere —
-//! see [`crate::sys`]). The loop blocks in
-//! `wait` until something is ready, drives exactly the connections the
-//! kernel names, hands fully parsed requests to the scoring pool, and
-//! writes finished responses back. An idle keep-alive connection
-//! therefore costs one slab slot and one kernel registration — not a
-//! thread: thousands of mostly-idle crawl-frontier clients are served
-//! by `reactors + cores` threads total. A connection adopted by one
-//! reactor lives and dies on that reactor — no slab slot, poller
-//! registration, or gauge is ever touched from a sibling's thread.
+//! [`Conn`] state machines, all registered in one epoll [`Poller`] (see
+//! [`crate::sys`]). The loop blocks in `wait` until something is ready,
+//! drives exactly the connections the kernel names, hands fully parsed
+//! requests to the scoring pool, and writes finished responses back.
+//! An idle keep-alive connection therefore costs one slab slot and one
+//! kernel registration — not a thread: thousands of mostly-idle
+//! crawl-frontier clients are served by `reactors + cores` threads
+//! total. A connection adopted by one reactor lives and dies on that
+//! reactor — no slab slot, poller registration, or gauge is ever
+//! touched from a sibling's thread.
 //!
 //! ## Admission control
 //!
@@ -44,13 +43,18 @@ use crate::http::ParserLimits;
 use crate::metrics::ReactorStats;
 use crate::pool::{Completion, Job};
 use crate::server::{ServeConfig, ServerState};
-use crate::sys::{Backend, Event, Interest, WakePipe, LISTENER, WAKE};
+use crate::sys::{Event, Interest, Poller, WakePipe};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Token of the listening socket.
+const LISTENER: u64 = u64::MAX;
+/// Token of the wake pipe's read end.
+const WAKE: u64 = u64::MAX - 1;
 
 /// One slab slot: the connection (when occupied), its registration
 /// generation, and the interest set currently registered in the poller
@@ -68,10 +72,7 @@ pub(crate) struct Reactor {
     /// `X-Urlid-Reactor` value, the completion-port index, and the
     /// trace-stripe selector).
     index: usize,
-    /// The I/O engine this reactor multiplexes through — chosen once at
-    /// spawn (`--io`): the uring completion engine or a readiness
-    /// poller (epoll / `poll(2)`).
-    backend: Box<dyn Backend>,
+    poller: Poller,
     listener: TcpListener,
     wake: WakePipe,
     slots: Vec<Slot>,
@@ -117,7 +118,6 @@ impl Reactor {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         index: usize,
-        mut backend: Box<dyn Backend>,
         listener: TcpListener,
         wake: WakePipe,
         jobs: Sender<Job>,
@@ -128,13 +128,14 @@ impl Reactor {
         shutdown: Arc<AtomicBool>,
         config: &ServeConfig,
     ) -> std::io::Result<Reactor> {
-        backend.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-        backend.add(wake.fd(), WAKE, Interest::READ)?;
+        let mut poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        poller.add(wake.fd(), WAKE, Interest::READ)?;
         let now = Instant::now();
         let cache_set = index % state.cache().sets();
         Ok(Reactor {
             index,
-            backend,
+            poller,
             listener,
             wake,
             slots: Vec::new(),
@@ -180,9 +181,9 @@ impl Reactor {
         loop {
             events.clear();
             let timeout = self.evict_period();
-            if self.backend.wait(&mut events, Some(timeout)).is_err() {
-                // A broken I/O engine cannot multiplex anything; treat
-                // it like an immediate shutdown.
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
+                // A broken poller cannot multiplex anything; treat it
+                // like an immediate shutdown.
                 self.shutdown.store(true, Ordering::Relaxed);
             }
             let now = Instant::now();
@@ -237,18 +238,17 @@ impl Reactor {
                 .conn
                 .as_mut()
                 .expect("resolved")
-                .on_readable(&mut *self.backend, now);
+                .on_readable(now);
             self.apply(idx, step, now);
         }
         if writable {
-            let backend = &mut *self.backend;
             let Some(slot) = self.slots.get_mut(idx) else {
                 return;
             };
             let Some(conn) = slot.conn.as_mut() else {
                 return;
             };
-            let step = conn.on_writable(backend, now);
+            let step = conn.on_writable(now);
             self.apply(idx, step, now);
         }
     }
@@ -273,7 +273,7 @@ impl Reactor {
                             .conn
                             .as_mut()
                             .expect("resolved")
-                            .reject_overload(&mut *self.backend, keep_alive, now);
+                            .reject_overload(keep_alive, now);
                         let _ = request_id;
                         continue;
                     }
@@ -318,7 +318,6 @@ impl Reactor {
             };
             let keep_alive = completion.keep_alive && !self.draining;
             let step = self.slots[idx].conn.as_mut().expect("resolved").complete(
-                &mut *self.backend,
                 completion.response,
                 keep_alive,
                 completion.request_id,
@@ -339,12 +338,11 @@ impl Reactor {
         }
     }
 
-    /// Accept every connection the backlog (or the uring engine's
-    /// accepted-fd queue) holds.
+    /// Accept every connection the backlog holds.
     fn accept_ready(&mut self, now: Instant) {
         loop {
-            match self.backend.accept(&self.listener) {
-                Ok(stream) => {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
                     if self.draining {
                         continue; // dropped: shutting down
                     }
@@ -359,7 +357,7 @@ impl Reactor {
                 // listener and let the tick re-arm it once the pause
                 // elapses (fd pressure eases when connections close).
                 Err(_) => {
-                    let _ = self.backend.remove(self.listener.as_raw_fd(), LISTENER);
+                    let _ = self.poller.remove(self.listener.as_raw_fd());
                     self.accept_paused_until = Some(now + Duration::from_millis(100));
                     return;
                 }
@@ -380,7 +378,7 @@ impl Reactor {
         }
         if now >= resume_at
             && self
-                .backend
+                .poller
                 .add(self.listener.as_raw_fd(), LISTENER, Interest::READ)
                 .is_ok()
         {
@@ -388,10 +386,19 @@ impl Reactor {
         }
     }
 
-    /// Register a freshly accepted stream as a connection. The slot —
-    /// and with it the generation-tagged token — is claimed first, so
-    /// the connection knows the identity it is registered under.
+    /// Register a freshly accepted stream as a connection.
     fn adopt(&mut self, stream: std::net::TcpStream, now: Instant) {
+        let conn = Conn::new(
+            stream,
+            self.limits,
+            Arc::clone(&self.state),
+            Arc::clone(&self.stats),
+            self.index,
+            now,
+        );
+        let Ok(conn) = conn else {
+            return;
+        };
         let idx = match self.free.pop() {
             Some(idx) => idx as usize,
             None => {
@@ -403,25 +410,12 @@ impl Reactor {
                 self.slots.len() - 1
             }
         };
-        let token = self.token_of(idx);
-        let conn = Conn::new(
-            stream,
-            token,
-            self.limits,
-            Arc::clone(&self.state),
-            Arc::clone(&self.stats),
-            self.index,
-            now,
-        );
-        let Ok(conn) = conn else {
-            self.free.push(idx as u32);
-            return;
-        };
         let interest = conn.interest();
         let fd = conn.stream().as_raw_fd();
         self.slots[idx].conn = Some(conn);
         self.slots[idx].interest = interest;
-        if self.backend.add(fd, token, interest).is_err() {
+        let token = self.token_of(idx);
+        if self.poller.add(fd, token, interest).is_err() {
             self.slots[idx].conn = None;
             self.free.push(idx as u32);
             return;
@@ -449,7 +443,7 @@ impl Reactor {
         let desired = conn.interest();
         if desired != slot.interest {
             let fd = conn.stream().as_raw_fd();
-            if self.backend.modify(fd, token, desired).is_ok() {
+            if self.poller.modify(fd, token, desired).is_ok() {
                 self.slots[idx].interest = desired;
             }
         }
@@ -458,15 +452,11 @@ impl Reactor {
     /// Deregister and drop a connection; the slot's generation bump
     /// invalidates any in-flight completion for it.
     fn close_conn(&mut self, idx: usize) {
-        let token = self.token_of(idx);
-        let Some(conn) = self.slots[idx].conn.take() else {
+        let slot = &mut self.slots[idx];
+        let Some(conn) = slot.conn.take() else {
             return;
         };
-        // Deregister *before* the fd closes with `conn` below — the
-        // uring engine flushes and cancels this connection's in-kernel
-        // operations here.
-        let _ = self.backend.remove(conn.stream().as_raw_fd(), token);
-        let slot = &mut self.slots[idx];
+        let _ = self.poller.remove(conn.stream().as_raw_fd());
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(idx as u32);
         self.open -= 1;
@@ -498,7 +488,7 @@ impl Reactor {
     fn start_drain(&mut self, now: Instant) {
         self.draining = true;
         self.drain_deadline = now + self.drain_timeout;
-        let _ = self.backend.remove(self.listener.as_raw_fd(), LISTENER);
+        let _ = self.poller.remove(self.listener.as_raw_fd());
         for idx in 0..self.slots.len() {
             let Some(conn) = self.slots[idx].conn.as_mut() else {
                 continue;

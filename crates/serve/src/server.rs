@@ -10,10 +10,9 @@
 //! set. A connection is adopted by exactly one reactor and never
 //! migrates — no hot-path state crosses reactor boundaries. Each
 //! reactor feeds bytes into per-connection incremental parsers and
-//! writes responses over non-blocking I/O behind a pluggable engine
-//! (`--io`: batched io_uring or an epoll/`poll(2)` readiness poller;
-//! see [`crate::sys`] and [`IoBackend`]). Fully
-//! parsed requests are dispatched to a small **scoring pool** (the
+//! writes responses over non-blocking sockets multiplexed by a
+//! level-triggered epoll instance (see [`crate::sys`]). Fully parsed
+//! requests are dispatched to a small **scoring pool** (the
 //! internal `pool` module) sized to the CPU count, whose threads only
 //! ever run compute. Total thread budget: `reactors + cores`,
 //! independent of the number of open connections — thousands of
@@ -41,7 +40,7 @@
 
 use crate::cache::{normalize_url, CachedScores, ResultCache};
 use crate::http::{Request, MAX_BODY_BYTES};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, IO_BACKEND};
 use crate::pool::{CompletionPort, ScoringPool};
 use crate::reactor::Reactor;
 use crate::sys::{WakePipe, Waker};
@@ -64,60 +63,6 @@ use urlid_telemetry::{duration_micros, PromWriter, Stage};
 const CONTENT_TYPE_JSON: &str = "application/json";
 /// Content type of the Prometheus text exposition (format 0.0.4).
 const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// How scoring-pool workers are wired to the reactors.
-///
-/// Both topologies were measured head-to-head (see the README's
-/// serving-architecture section): on few-core boxes they are within
-/// noise of each other, and `Shared` is work-conserving under a traffic
-/// imbalance, so it is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolTopology {
-    /// One job channel feeds every worker; any worker serves any
-    /// reactor. The channel's internal mutex is the one cross-reactor
-    /// lock in the system, and it sits on the pool side of the dispatch
-    /// boundary — never on a reactor's accept/parse/write path.
-    #[default]
-    Shared,
-    /// Each reactor owns a private job channel and a dedicated worker
-    /// subset (at least one worker each). Zero cross-reactor contention
-    /// anywhere, but an overloaded reactor cannot borrow a sibling's
-    /// idle workers.
-    Partitioned,
-}
-
-/// Which I/O engine the reactors multiplex through (`urlid serve
-/// --io`). The engines sit behind one trait ([`crate::sys::Backend`])
-/// and are behaviourally identical; they differ in syscall cost — see
-/// the README's "I/O backends" subsection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// Probe io_uring at startup and use it when the kernel allows;
-    /// otherwise fall back to the readiness poller (epoll on Linux,
-    /// `poll(2)` elsewhere) and log why. `URLID_NO_URING` in the
-    /// environment forces the fallback, like `URLID_NO_MMAP` does for
-    /// the model mapping.
-    #[default]
-    Auto,
-    /// Require io_uring; refuse to start when the probe fails.
-    Uring,
-    /// The readiness poller, unconditionally.
-    Epoll,
-}
-
-impl IoBackend {
-    /// Parse a `--io` argument (`auto` | `uring` | `epoll`).
-    pub fn parse(s: &str) -> Result<IoBackend, String> {
-        match s {
-            "auto" => Ok(IoBackend::Auto),
-            "uring" => Ok(IoBackend::Uring),
-            "epoll" => Ok(IoBackend::Epoll),
-            other => Err(format!(
-                "invalid io backend {other:?} (expected auto, uring or epoll)"
-            )),
-        }
-    }
-}
 
 /// Default reactor count: one per core, capped at four. Past four
 /// reactors the accept/parse/write load is spread thinner than the
@@ -145,10 +90,6 @@ pub struct ServeConfig {
     /// from one reactor may be in the scoring pool at once; the excess
     /// is answered `503` on the reactor thread. `0` disables the limit.
     pub max_inflight: usize,
-    /// Scoring-pool topology (see [`PoolTopology`]).
-    pub pool: PoolTopology,
-    /// Which I/O engine the reactors use (see [`IoBackend`]).
-    pub io: IoBackend,
     /// Number of cache shards (mutex stripes) *per shard set*; each
     /// reactor maps onto one set of the state's [`ResultCache`].
     pub cache_shards: usize,
@@ -187,8 +128,6 @@ impl Default for ServeConfig {
             reactors: 0,
             scoring_threads: 0,
             max_inflight: 32,
-            pool: PoolTopology::Shared,
-            io: IoBackend::Auto,
             cache_shards: ResultCache::DEFAULT_SHARDS,
             idle_timeout: Duration::from_secs(5),
             max_body_bytes: MAX_BODY_BYTES,
@@ -775,10 +714,7 @@ fn handle_healthz(state: &ServerState) -> (u16, String) {
     let mut o = Value::object();
     o.insert("status", Value::Str("ok".to_owned()));
     o.insert("uptime_secs", Value::Float(state.metrics.uptime_secs()));
-    o.insert(
-        "io_backend",
-        Value::Str(state.metrics.io_backend().to_owned()),
-    );
+    o.insert("io_backend", Value::Str(IO_BACKEND.to_owned()));
     o.insert("model", model_value(&status));
     (200, serde_json::to_string(&o).expect("response serialises"))
 }
@@ -909,10 +845,9 @@ pub fn prometheus_text(state: &ServerState) -> String {
         load(&m.reactors_failed) as f64,
     );
     let reactor_stats = m.reactor_stats();
-    // Per-reactor families carry the I/O engine as a label: every
-    // reactor runs the engine resolved at spawn, and the label is what
-    // lets a dashboard split a fleet mid-rollout by backend.
-    let io = m.io_backend();
+    // Per-reactor families carry the I/O engine as an `io` label, kept
+    // so existing scrapers and dashboards still match.
+    let io = IO_BACKEND;
     w.family(
         "urlid_reactor_connections_open",
         "gauge",
@@ -1216,10 +1151,10 @@ impl ServerHandle {
 
 /// Bind one listener per reactor. With more than one reactor the
 /// listeners share the port through `SO_REUSEPORT` so the kernel
-/// load-balances accepts; where that fails (non-Linux, old kernels),
-/// fall back to accept-racing `try_clone`s of a single listener — the
-/// losers of each race see `WouldBlock` and move on. Returns the
-/// listeners and whether the reuseport path was taken.
+/// load-balances accepts; where that fails (old kernels), fall back to
+/// accept-racing `try_clone`s of a single listener — the losers of each
+/// race see `WouldBlock` and move on. Returns the listeners and whether
+/// the reuseport path was taken.
 fn bind_listeners(addr: &str, reactors: usize) -> io::Result<(Vec<TcpListener>, bool)> {
     if reactors <= 1 {
         let listener = TcpListener::bind(addr)?;
@@ -1257,48 +1192,6 @@ fn bind_listeners(addr: &str, reactors: usize) -> io::Result<(Vec<TcpListener>, 
     }
 }
 
-/// Resolve the configured [`IoBackend`] to the engine name that will
-/// actually serve. `Auto` probes io_uring once and falls back to the
-/// readiness poller with a logged reason; `Uring` turns a failed probe
-/// into a startup error instead of serving on a backend the operator
-/// did not ask for.
-fn resolve_io(requested: IoBackend) -> io::Result<&'static str> {
-    match requested {
-        IoBackend::Epoll => Ok(crate::sys::Poller::NAME),
-        IoBackend::Uring => crate::sys::uring::probe()
-            .map(|()| "uring")
-            .map_err(|reason| {
-                io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!("--io uring unavailable: {reason}"),
-                )
-            }),
-        IoBackend::Auto => match crate::sys::uring::probe() {
-            Ok(()) => Ok("uring"),
-            Err(reason) => {
-                eprintln!(
-                    "urlid-serve: io_uring unavailable ({reason}); falling back to {}",
-                    crate::sys::Poller::NAME
-                );
-                Ok(crate::sys::Poller::NAME)
-            }
-        },
-    }
-}
-
-/// Construct one reactor's I/O engine of the resolved kind. 256 SQ
-/// entries per uring: the submission queue only bounds one batch (not
-/// in-flight operations), and a batch bigger than that re-enters once
-/// more per 256 SQEs — already far past the per-iteration event count.
-fn make_backend(resolved: &'static str) -> io::Result<Box<dyn crate::sys::Backend>> {
-    #[cfg(target_os = "linux")]
-    if resolved == "uring" {
-        return Ok(Box::new(crate::sys::uring::UringEngine::new(256)?));
-    }
-    let _ = resolved;
-    Ok(Box::new(crate::sys::Poller::new()?))
-}
-
 /// Start the server: bind the per-reactor listeners, spawn the reactor
 /// threads and the scoring pool, and return immediately with a
 /// [`ServerHandle`].
@@ -1322,13 +1215,8 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
     } else {
         config.scoring_threads
     };
-    // Resolve the I/O engine once, before any thread spawns: a forced
-    // `--io uring` on a denied kernel must fail the boot, and `auto`
-    // must log its fallback exactly once.
-    let io_backend = resolve_io(config.io)?;
     let metrics = state.metrics();
     metrics.set_telemetry_enabled(config.telemetry);
-    metrics.set_io_backend(io_backend);
     metrics.reuseport.store(reuseport, Ordering::Relaxed);
     metrics
         .max_inflight
@@ -1357,7 +1245,7 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
         plumbing.push((wake_pipe, completion_rx, pending));
         wakers.push(waker);
     }
-    let (mut pool, job_txs) = ScoringPool::spawn(config.pool, scoring_threads, &state, ports)?;
+    let (mut pool, job_tx) = ScoringPool::spawn(scoring_threads, &state, ports)?;
     metrics
         .scoring_threads
         .store(pool.threads() as u64, Ordering::Relaxed);
@@ -1372,21 +1260,11 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
         listeners.into_iter().zip(plumbing).enumerate()
     {
         let stats = metrics.register_reactor();
-        let backend = match make_backend(io_backend) {
-            Ok(backend) => backend,
-            Err(e) => {
-                drop(built);
-                drop(job_txs);
-                pool.join();
-                return Err(e);
-            }
-        };
         let reactor = Reactor::new(
             index,
-            backend,
             listener,
             wake_pipe,
-            job_txs[index].clone(),
+            job_tx.clone(),
             completion_rx,
             pending,
             stats,
@@ -1400,7 +1278,7 @@ pub fn spawn(config: &ServeConfig, state: Arc<ServerState>) -> io::Result<Server
                 // No reactor thread is running yet: dropping the job
                 // senders is enough to let the workers drain out.
                 drop(built);
-                drop(job_txs);
+                drop(job_tx);
                 pool.join();
                 return Err(e);
             }

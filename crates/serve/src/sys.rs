@@ -2,28 +2,18 @@
 //!
 //! The build container has no crates.io access (no `mio`, no `libc`
 //! crate), so the handful of C symbols the reactor needs are declared
-//! by hand; `std` already links libc on every unix target, so the
-//! symbols resolve at link time. Three engines sit behind the same
-//! [`Backend`] trait:
-//!
-//! * **Linux**: `epoll` (`epoll_create1` / `epoll_ctl` / `epoll_wait`),
-//!   level-triggered — O(ready) wakeups regardless of how many idle
-//!   connections are registered; data-plane reads and writes are plain
-//!   syscalls on the ready socket;
-//! * **Linux, kernel ≥ 5.11**: [`uring`] — `io_uring` submission/
-//!   completion rings (hand-rolled `io_uring_setup`/`io_uring_enter`,
-//!   mmap'd rings). The data plane itself rides the ring: multishot
-//!   `accept`, re-armed `recv` SQEs and staged `send` SQEs are batched
-//!   into **one** `io_uring_enter` per event-loop iteration instead of
-//!   one syscall per connection event;
-//! * **other unix**: POSIX `poll(2)` over the registered set — O(n) per
-//!   wakeup but dependency-free, keeping the crate building everywhere.
+//! by hand; `std` already links libc, so the symbols resolve at link
+//! time. The reactor's one I/O engine is [`Poller`], a level-triggered
+//! `epoll` instance (`epoll_create1` / `epoll_ctl` / `epoll_wait`):
+//! O(ready) wakeups regardless of how many idle connections are
+//! registered, with the data-plane reads and writes left to plain
+//! syscalls on the ready socket.
 //!
 //! Cross-thread wakeups use a self-pipe ([`WakePipe`] / [`Waker`]): the
-//! read end is registered in the backend like any other fd, and any
-//! thread can make the blocked reactor return by writing one byte —
-//! this replaces the old "connect a throwaway `TcpStream` to unblock
-//! the acceptor" shutdown hack, and is how scoring-pool workers hand
+//! read end is registered in the poller like any other fd, and any
+//! thread can make `epoll_wait` return by writing one byte — this
+//! replaces the old "connect a throwaway `TcpStream` to unblock the
+//! acceptor" shutdown hack, and is how scoring-pool workers hand
 //! finished responses back to the reactor.
 
 #![allow(unsafe_code)]
@@ -76,144 +66,6 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// Reserved registration token of a reactor's listening socket.
-pub const LISTENER: u64 = u64::MAX;
-/// Reserved registration token of a reactor's wake-pipe read end.
-pub const WAKE: u64 = u64::MAX - 1;
-
-/// One I/O engine a reactor can drive its connections through.
-///
-/// The readiness engines ([`Poller`]: epoll on Linux, `poll(2)`
-/// elsewhere) report which fds are ready and let the caller do the
-/// actual `read`/`writev` syscalls; the completion engine
-/// ([`uring::UringEngine`]) performs the I/O inside the kernel's
-/// submission/completion rings and stages the results, so `read` and
-/// `write_vectored` are userspace copies against engine-owned buffers.
-/// Either way the reactor sees the same level-triggered-flavoured
-/// surface: [`Event`]s keyed by token, `WouldBlock` when an operation
-/// cannot progress yet, and a later event when it can.
-pub trait Backend: Send {
-    /// Which engine this is: `"epoll"`, `"uring"` or `"poll"` (the
-    /// `/metrics` `reactors.io_backend` value and Prometheus `io`
-    /// label).
-    fn name(&self) -> &'static str;
-
-    /// Register `fd` under `token`. The reserved [`LISTENER`] and
-    /// [`WAKE`] tokens identify the two special fds (the uring engine
-    /// arms a multishot accept / a poll on them instead of a recv).
-    fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Change the interest set of a registered fd. Completion engines
-    /// may ignore this — their reads re-arm on consumption and their
-    /// writes complete on their own schedule.
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Deregister a fd. The caller closes the fd *after* this returns;
-    /// the uring engine uses the window to cancel pending operations
-    /// and, when staged output is still in flight, to duplicate the fd
-    /// so the tail of the response still drains.
-    fn remove(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
-
-    /// Block until at least one event (or `timeout`); append ready
-    /// events to `events`. For the uring engine this is also the one
-    /// `io_uring_enter` that submits every SQE staged since the last
-    /// call — the whole point of the batched design.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
-
-    /// Accept one pending connection on the registered listener
-    /// (`WouldBlock` when the backlog — kernel or completion-queue —
-    /// is empty).
-    fn accept(&mut self, listener: &std::net::TcpListener) -> io::Result<std::net::TcpStream>;
-
-    /// Read into `buf` for the connection registered under `token`.
-    /// Readiness engines issue the syscall on `stream`; the uring
-    /// engine copies from the staged recv completion and re-arms the
-    /// next recv SQE once the staging drains.
-    fn read(
-        &mut self,
-        token: u64,
-        stream: &std::net::TcpStream,
-        buf: &mut [u8],
-    ) -> io::Result<usize>;
-
-    /// Vectored write for the connection registered under `token`.
-    /// Readiness engines issue `writev` on `stream`; the uring engine
-    /// gathers the slices into its per-connection staging buffer and
-    /// submits a send SQE (`WouldBlock` while one is already in
-    /// flight).
-    fn write_vectored(
-        &mut self,
-        token: u64,
-        stream: &std::net::TcpStream,
-        bufs: &[io::IoSlice<'_>],
-    ) -> io::Result<usize>;
-}
-
-impl Backend for Poller {
-    fn name(&self) -> &'static str {
-        Poller::NAME
-    }
-
-    fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        Poller::add(self, fd, token, interest)
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        Poller::modify(self, fd, token, interest)
-    }
-
-    fn remove(&mut self, fd: RawFd, _token: u64) -> io::Result<()> {
-        Poller::remove(self, fd)
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        Poller::wait(self, events, timeout)
-    }
-
-    fn accept(&mut self, listener: &std::net::TcpListener) -> io::Result<std::net::TcpStream> {
-        listener.accept().map(|(stream, _)| stream)
-    }
-
-    fn read(
-        &mut self,
-        _token: u64,
-        stream: &std::net::TcpStream,
-        buf: &mut [u8],
-    ) -> io::Result<usize> {
-        use std::io::Read as _;
-        (&mut &*stream).read(buf)
-    }
-
-    fn write_vectored(
-        &mut self,
-        _token: u64,
-        stream: &std::net::TcpStream,
-        bufs: &[io::IoSlice<'_>],
-    ) -> io::Result<usize> {
-        use std::io::Write as _;
-        (&mut &*stream).write_vectored(bufs)
-    }
-}
-
-#[cfg(target_os = "linux")]
-pub mod uring;
-
-/// Non-Linux stub: io_uring is a Linux interface; `probe` always
-/// reports why so `--io auto` can fall back with a reason.
-#[cfg(not(target_os = "linux"))]
-pub mod uring {
-    /// Whether the running kernel can drive the uring engine (never,
-    /// off Linux).
-    pub fn supported() -> bool {
-        false
-    }
-
-    /// Why the uring engine is unavailable here.
-    pub fn probe() -> Result<(), String> {
-        Err("io_uring is linux-only".to_string())
-    }
-}
-
 fn last_os_error() -> io::Error {
     io::Error::last_os_error()
 }
@@ -229,295 +81,152 @@ fn close_fd(fd: RawFd) {
 }
 
 // ---------------------------------------------------------------------
-// Linux backend: epoll
+// epoll
 // ---------------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
-mod backend {
-    use super::*;
-
-    // x86_64 is the one ABI where the kernel declares epoll_event
-    // packed (`__EPOLL_PACKED`); everywhere else it has natural
-    // alignment.
-    #[cfg(target_arch = "x86_64")]
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-    }
-
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-
-    /// Readiness multiplexer over an epoll instance.
-    pub struct Poller {
-        epfd: RawFd,
-        /// Scratch buffer `epoll_wait` fills; reused across calls.
-        raw: Vec<EpollEvent>,
-    }
-
-    impl Poller {
-        /// Engine name for `/metrics` (`reactors.io_backend`).
-        pub const NAME: &'static str = "epoll";
-
-        /// A fresh epoll instance (close-on-exec).
-        pub fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(last_os_error());
-            }
-            Ok(Poller {
-                epfd,
-                raw: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut events = 0u32;
-            if interest.read {
-                events |= EPOLLIN;
-            }
-            if interest.write {
-                events |= EPOLLOUT;
-            }
-            let mut event = EpollEvent {
-                events,
-                data: token,
-            };
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut event) };
-            if rc < 0 {
-                return Err(last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Register `fd` under `token`.
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        /// Change the interest set of a registered fd.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        /// Deregister a fd (kernel-side removal also happens on close,
-        /// but explicit removal keeps the registration count honest).
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            let mut event = EpollEvent { events: 0, data: 0 };
-            let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut event) };
-            if rc < 0 {
-                return Err(last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Block until at least one registered fd is ready or `timeout`
-        /// expires (`None` blocks indefinitely); ready events are
-        /// appended to `events`. A signal interruption reports zero
-        /// events rather than an error.
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(c_int::MAX as u128) as c_int,
-            };
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.raw.as_mut_ptr(),
-                    self.raw.len() as c_int,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let err = last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for raw in &self.raw[..n as usize] {
-                let bits = raw.events;
-                events.push(Event {
-                    token: raw.data,
-                    readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                    writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            close_fd(self.epfd);
-        }
-    }
+// x86_64 is the one ABI where the kernel declares epoll_event
+// packed (`__EPOLL_PACKED`); everywhere else it has natural
+// alignment.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, packed)]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-// ---------------------------------------------------------------------
-// Portable unix fallback: poll(2)
-// ---------------------------------------------------------------------
+#[cfg(not(target_arch = "x86_64"))]
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod backend {
-    use super::*;
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+}
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+
+/// Level-triggered readiness multiplexer over an epoll instance — the
+/// reactor's one I/O engine.
+pub struct Poller {
+    epfd: RawFd,
+    /// Scratch buffer `epoll_wait` fills; reused across calls.
+    raw: Vec<EpollEvent>,
+}
+
+impl Poller {
+    /// A fresh epoll instance (close-on-exec).
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: epoll_create1 takes only a flag word.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(last_os_error());
+        }
+        Ok(Poller {
+            epfd,
+            raw: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    // `nfds_t` is `unsigned long` on linux/glibc and `unsigned int` on
-    // the BSD family; this module only compiles on the latter.
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_uint, timeout: c_int) -> c_int;
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut events = 0u32;
+        if interest.read {
+            events |= EPOLLIN;
+        }
+        if interest.write {
+            events |= EPOLLOUT;
+        }
+        let mut event = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `event` is a live, correctly laid out `epoll_event`
+        // the kernel only reads during the call.
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut event) };
+        if rc < 0 {
+            return Err(last_os_error());
+        }
+        Ok(())
     }
 
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    /// Readiness multiplexer over `poll(2)`: the registered set lives
-    /// in userspace and the whole array is handed to the kernel each
-    /// wait — O(n) per wakeup, fine as a portability fallback.
-    pub struct Poller {
-        fds: Vec<PollFd>,
-        tokens: Vec<u64>,
+    /// Register `fd` under `token`.
+    pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    impl Poller {
-        /// Engine name for `/metrics` (`reactors.io_backend`).
-        pub const NAME: &'static str = "poll";
+    /// Change the interest set of a registered fd.
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
 
-        /// An empty registered set.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            })
+    /// Deregister a fd (kernel-side removal also happens on close,
+    /// but explicit removal keeps the registration count honest).
+    pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
+        let mut event = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`; kernels before 2.6.9 required a non-null
+        // event even for EPOLL_CTL_DEL.
+        let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut event) };
+        if rc < 0 {
+            return Err(last_os_error());
         }
+        Ok(())
+    }
 
-        fn events_of(interest: Interest) -> i16 {
-            let mut events = 0i16;
-            if interest.read {
-                events |= POLLIN;
-            }
-            if interest.write {
-                events |= POLLOUT;
-            }
-            events
-        }
-
-        /// Register `fd` under `token`.
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.fds.push(PollFd {
-                fd,
-                events: Self::events_of(interest),
-                revents: 0,
-            });
-            self.tokens.push(token);
-            Ok(())
-        }
-
-        /// Change the interest set of a registered fd.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            for (slot, t) in self.fds.iter_mut().zip(&mut self.tokens) {
-                if slot.fd == fd {
-                    slot.events = Self::events_of(interest);
-                    *t = token;
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        /// Deregister a fd.
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            if let Some(i) = self.fds.iter().position(|slot| slot.fd == fd) {
-                self.fds.swap_remove(i);
-                self.tokens.swap_remove(i);
+    /// Block until at least one registered fd is ready or `timeout`
+    /// expires (`None` blocks indefinitely); ready events are
+    /// appended to `events`. A signal interruption reports zero
+    /// events rather than an error.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        let timeout_ms: c_int = match timeout {
+            None => -1,
+            Some(d) => d.as_millis().min(c_int::MAX as u128) as c_int,
+        };
+        // SAFETY: the kernel writes at most `raw.len()` events into
+        // `raw`, which this call borrows mutably for its duration.
+        let n = unsafe {
+            epoll_wait(
+                self.epfd,
+                self.raw.as_mut_ptr(),
+                self.raw.len() as c_int,
+                timeout_ms,
+            )
+        };
+        if n < 0 {
+            let err = last_os_error();
+            if err.kind() == io::ErrorKind::Interrupted {
                 return Ok(());
             }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
+            return Err(err);
         }
-
-        /// Block until readiness or timeout; see the epoll backend.
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(c_int::MAX as u128) as c_int,
-            };
-            let n = unsafe {
-                poll(
-                    self.fds.as_mut_ptr(),
-                    self.fds.len() as std::os::raw::c_uint,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let err = last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for (slot, &token) in self.fds.iter().zip(&self.tokens) {
-                let bits = slot.revents;
-                if bits == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    readable: bits & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0,
-                    writable: bits & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-            }
-            Ok(())
+        for raw in &self.raw[..n as usize] {
+            let bits = raw.events;
+            events.push(Event {
+                token: raw.data,
+                readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
+                writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+            });
         }
+        Ok(())
     }
 }
 
-pub use backend::Poller;
+impl Drop for Poller {
+    fn drop(&mut self) {
+        close_fd(self.epfd);
+    }
+}
 
 // ---------------------------------------------------------------------
 // SO_REUSEPORT listener creation
@@ -531,7 +240,6 @@ pub use backend::Poller;
 /// `bind()`, so the whole sequence is hand-rolled here. Binding to
 /// port 0 works: the first listener gets an ephemeral port and the
 /// caller re-binds siblings to the resolved address.
-#[cfg(target_os = "linux")]
 pub fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
     use std::os::fd::FromRawFd;
 
@@ -648,18 +356,6 @@ pub fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpLis
     Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
 }
 
-/// Non-Linux stub: `SO_REUSEPORT` load-balancing semantics are
-/// Linux-specific (the BSDs hand the port to the last binder or need
-/// `SO_REUSEPORT_LB`), so the server falls back to one shared listener
-/// cloned across reactors.
-#[cfg(not(target_os = "linux"))]
-pub fn bind_reuseport(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "SO_REUSEPORT sharding is only wired up on linux",
-    ))
-}
-
 // ---------------------------------------------------------------------
 // Self-pipe waker
 // ---------------------------------------------------------------------
@@ -673,10 +369,7 @@ extern "C" {
 
 const F_GETFL: c_int = 3;
 const F_SETFL: c_int = 4;
-#[cfg(target_os = "linux")]
 const O_NONBLOCK: c_int = 0o4000;
-#[cfg(not(target_os = "linux"))]
-const O_NONBLOCK: c_int = 0x0004;
 
 fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     let flags = unsafe { fcntl(fd, F_GETFL) };
@@ -871,7 +564,6 @@ mod tests {
         assert!(events.is_empty(), "removed fd no longer reports");
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn reuseport_listeners_share_a_port_and_both_accept() {
         use std::io::Read as _;

@@ -91,13 +91,9 @@ fn loadgen_completes_and_emits_bench_json() {
     for key in ["hits", "misses", "hit_rate"] {
         assert!(cache.get(key).is_some(), "missing cache.{key}");
     }
-    // The report names the reactor I/O engine the server actually ran
-    // (the default config auto-probes, so either engine is legitimate).
+    // The report names the reactor I/O engine the server ran.
     match parsed.get("io_backend") {
-        Some(Value::Str(io)) => assert!(
-            matches!(io.as_str(), "uring" | "epoll" | "poll"),
-            "unexpected io_backend {io:?}"
-        ),
+        Some(Value::Str(io)) => assert_eq!(io, "epoll", "unexpected io_backend"),
         other => panic!("io_backend must be a string, got {other:?}"),
     }
     std::fs::remove_file(&out).ok();
@@ -152,4 +148,48 @@ fn suite_with_idle_connections_runs_scenarios_back_to_back() {
     };
     assert_eq!(entries.len(), 2);
     std::fs::remove_file(&out).ok();
+}
+
+#[test]
+fn each_scenario_reports_only_its_own_cache_lookups_and_accepts() {
+    let server = start_server();
+    let base = LoadgenConfig {
+        addr: server.addr().to_string(),
+        requests: 200,
+        concurrency: 2,
+        unique_urls: 30,
+        seed: 5,
+        out: None,
+        ..LoadgenConfig::default()
+    };
+    let scenarios = vec![
+        LoadgenConfig {
+            name: "first".to_owned(),
+            ..base.clone()
+        },
+        LoadgenConfig {
+            name: "second".to_owned(),
+            idle_connections: 8,
+            ..base
+        },
+    ];
+    let suite = run_suite(&scenarios, None).expect("suite run");
+    server.shutdown();
+
+    for report in &suite.scenarios {
+        assert_eq!(report.errors, 0, "{}", report.scenario);
+        // Every answered /identify is one cache lookup.
+        assert_eq!(
+            report.cache.hits + report.cache.misses,
+            report.requests,
+            "{}: cache counters are not the scenario's own",
+            report.scenario
+        );
+    }
+    let second = &suite.scenarios[1];
+    assert_eq!(second.requests, 200 + 8 + 8);
+    // Two active connections plus the idle population, nothing else.
+    let accepted: u64 = second.per_reactor.iter().map(|r| r.accepted).sum();
+    assert_eq!(accepted, 2 + 8);
+    assert!(second.per_reactor.iter().all(|r| r.timed_out == 0));
 }

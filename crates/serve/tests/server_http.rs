@@ -395,6 +395,26 @@ fn metrics_json_and_prometheus_agree_on_connection_totals() {
     let stream = TcpStream::connect(addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = std::io::BufReader::new(stream);
+    // The server counts a short-lived connection closed only when its
+    // reactor sees the EOF, which can land between the two scrapes
+    // below. Wait on this connection until only it is left open.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        http::write_request(&mut writer, "GET", "/metrics", None).expect("write poll request");
+        let (status, body) = http::read_response(&mut reader).expect("poll exposition");
+        assert_eq!(status, 200);
+        let polled: Value = serde_json::from_str(&body).expect("JSON");
+        let open = uint_of(polled.get("connections").expect("connections"), "open");
+        if open == 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "short-lived connections still counted open: {open}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
     http::write_request(&mut writer, "GET", "/metrics", None).expect("write JSON request");
     let (status, json_body) = http::read_response(&mut reader).expect("JSON exposition");
     assert_eq!(status, 200);
