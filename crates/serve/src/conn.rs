@@ -4,16 +4,25 @@
 //! [`RequestParser`], and an outbound queue of response segments
 //! flushed with vectored writes. It never blocks and
 //! never touches a thread of its own — the reactor calls in when the
-//! poller reports readiness, and the scoring pool's finished responses
-//! arrive through [`Conn::complete`]. The request lifecycle:
+//! poller reports readiness, and every answer arrives through
+//! [`Conn::complete`]: straight from the reactor for a `POST /identify`
+//! cache hit (or a body it rejects), from the scoring pool for a miss —
+//! which carries its normalised key there — and for every other route.
+//! The request lifecycle:
 //!
 //! ```text
 //!          readable                    parser yields a request
 //!   Idle ───────────► feed parser ───────────────────────────► InFlight
 //!    ▲                                                            │
-//!    │  output drained (keep-alive; parse any pipelined request)  │
-//!    └─────────────────────────── write response ◄────────────────┘
-//!                                                  Conn::complete
+//!    │                ┌───────────────────────────────────────────┤
+//!    │                │ /identify hit or 400:                     │ /identify miss (key
+//!    │                │ answered on the reactor                   │ attached) or any
+//!    │                │                                           ▼ other route
+//!    │                │                                      scoring pool
+//!    │                ▼                                           │
+//!    └──────── write response ◄───────────────────────────────────┘
+//!  output     Conn::complete
+//!  drained (keep-alive; parse any pipelined request)
 //! ```
 //!
 //! Only one request per connection is in flight at a time: while a
@@ -26,7 +35,7 @@
 
 use crate::http::{self, HttpError, ParserLimits, Request, RequestParser};
 use crate::metrics::{ReactorStats, TRACE_STRIPES};
-use crate::server::{error_body, ServerState};
+use crate::server::{error_body, ServerState, CONTENT_TYPE_JSON};
 use crate::sys::Interest;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -111,11 +120,11 @@ impl OutQueue {
 pub(crate) enum Step {
     /// Nothing to hand off; keep the connection registered.
     Continue,
-    /// A complete request was parsed — dispatch it to the scoring pool,
-    /// tagged with its freshly assigned request id (correlates the
-    /// stage spans of this request). The connection is now in flight
-    /// and will not parse further input until [`Conn::complete`]
-    /// delivers the response.
+    /// A complete request was parsed — answer it inline or dispatch it
+    /// to the scoring pool, tagged with its freshly assigned request id
+    /// (correlates the stage spans of this request). The connection is
+    /// now in flight and will not parse further input until
+    /// [`Conn::complete`] delivers the response.
     Dispatch(Request, u64),
     /// The connection is finished (peer closed, fatal error, or final
     /// response flushed) — deregister and drop it.
@@ -297,8 +306,9 @@ impl Conn {
         }
     }
 
-    /// The scoring pool finished the in-flight request: queue the
-    /// response and push the lifecycle forward (write what the socket
+    /// The in-flight request is answered — by the reactor's hit path or
+    /// by the scoring pool: queue the response and push the lifecycle
+    /// forward (write what the socket
     /// accepts now; parse the next pipelined request if one is already
     /// buffered). The write-stage span covers the immediate flush pass
     /// — what the kernel accepts now; a backpressure remainder drains
@@ -477,7 +487,7 @@ impl Conn {
         }
         self.queue_bytes(http::response_bytes_from_reactor(
             503,
-            "application/json",
+            CONTENT_TYPE_JSON,
             &error_body("server overloaded, retry"),
             keep_alive,
             self.reactor as u64,

@@ -22,9 +22,10 @@
 //!   connection engine**: per-connection state machines multiplexed by
 //!   `N` reactor threads (each owning its own `SO_REUSEPORT` listener,
 //!   connection slab, wake pipe, and cache shard set — connections
-//!   never migrate between reactors), with fully parsed requests
-//!   dispatched to a scoring pool sized to the CPU count and per-reactor
-//!   admission control shedding overload as `503`s. Thousands of
+//!   never migrate between reactors), with `/identify` cache hits
+//!   answered on the reactor thread, misses and every other route
+//!   dispatched to a scoring pool sized to the CPU count, and
+//!   per-reactor admission control shedding pool overload as `503`s. Thousands of
 //!   mostly-idle keep-alive connections are served by `reactors + cores`
 //!   threads total;
 //! * [`cache`] — a mutex-striped, capacity-bounded LRU **result cache**

@@ -1,8 +1,13 @@
 //! The scoring pool: a small fixed set of CPU-bound worker threads.
 //!
-//! The reactors hand over fully parsed requests ([`Job`]); a worker
-//! routes the request through the handlers (scoring, cache, metrics,
-//! reload — all in `server.rs`), serialises the response, and pushes a
+//! The reactors hand over fully parsed requests ([`Job`]) that they
+//! could not answer themselves: `POST /identify` cache *misses* — which
+//! arrive with their normalised key, already decoded and probed, so the
+//! worker only scores, inserts and writes the result — and every other
+//! route (`/identify_batch`, health, metrics, admin). Cache hits never
+//! get here; the reactor answers them inline. A worker routes the
+//! request through the handlers (scoring, cache, metrics, reload — all
+//! in `server.rs`), serialises the response, and pushes a
 //! [`Completion`] back to the **originating reactor's** completion port
 //! for it to write. (Keeping the socket writes on the reactor preserves
 //! write batching: the reactor drains a whole burst of completions in
@@ -29,7 +34,7 @@
 //! to over-provision past the cores.
 
 use crate::http::{self, Request};
-use crate::server::{route, RequestTrace, ServerState};
+use crate::server::{identify_miss, route, RequestTrace, ServerState, CONTENT_TYPE_JSON};
 use crate::sys::Waker;
 use std::io;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -53,10 +58,17 @@ pub(crate) struct Job {
     pub cache_set: usize,
     /// The parsed request.
     pub request: Request,
+    /// For a `POST /identify`: the normalised key whose cache probe on
+    /// the reactor missed. The worker scores it with
+    /// [`identify_miss`] — no second decode, no second probe. `None`
+    /// for every other route.
+    pub miss_key: Option<String>,
     /// Request id assigned at parse completion (span correlation).
     pub request_id: u64,
-    /// When the reactor dispatched the job (queue-wait span start and
-    /// the end-to-end latency clock).
+    /// When the reactor took the request up (the end-to-end latency
+    /// clock, which includes the reactor's decode and probe).
+    pub started: Instant,
+    /// When the reactor sent the job (the queue-wait span start).
     pub dispatched_at: Instant,
 }
 
@@ -72,9 +84,9 @@ pub(crate) struct Completion {
     pub keep_alive: bool,
     /// Request id (the write-stage span needs it on the reactor side).
     pub request_id: u64,
-    /// Dispatch timestamp, echoed back so the reactor can record the
+    /// [`Job::started`], echoed back so the reactor can record the
     /// end-to-end latency without any side table.
-    pub dispatched_at: Instant,
+    pub started: Instant,
     /// Whether this request counts into the latency histogram (the
     /// scoring endpoints do; `/healthz`-style bookkeeping does not —
     /// same scope the histogram had before the stage-tracing refactor).
@@ -171,8 +183,14 @@ fn spawn_worker(
                     Stage::Queue,
                     queue_micros,
                 );
-                let (status, content_type, body) =
-                    route(&state, &job.request, &mut scratch, &mut trace);
+                let (status, content_type, body) = match job.miss_key.as_deref() {
+                    Some(key) => (
+                        200,
+                        CONTENT_TYPE_JSON,
+                        identify_miss(&state, key, &mut scratch, &mut trace),
+                    ),
+                    None => route(&state, &job.request, &mut trace),
+                };
                 let total_micros =
                     queue_micros + urlid_telemetry::duration_micros(picked_up.elapsed());
                 if metrics.slow.should_log(total_micros, metrics.now_micros()) {
@@ -205,7 +223,7 @@ fn spawn_worker(
                     ),
                     keep_alive,
                     request_id: job.request_id,
-                    dispatched_at: job.dispatched_at,
+                    started: job.started,
                     record_latency: matches!(
                         job.request.path.as_str(),
                         "/identify" | "/identify_batch"

@@ -5,14 +5,25 @@
 //! `server::bind_listeners`), its own wake pipe, and its own slab of
 //! [`Conn`] state machines, all registered in one epoll [`Poller`] (see
 //! [`crate::sys`]). The loop blocks in `wait` until something is ready,
-//! drives exactly the connections the kernel names, hands fully parsed
-//! requests to the scoring pool, and writes finished responses back.
+//! drives exactly the connections the kernel names, answers
+//! `POST /identify` cache hits on the spot, hands every other fully
+//! parsed request to the scoring pool, and writes finished responses
+//! back.
 //! An idle keep-alive connection therefore costs one slab slot and one
 //! kernel registration — not a thread: thousands of mostly-idle
 //! crawl-frontier clients are served by `reactors + cores` threads
 //! total. A connection adopted by one reactor lives and dies on that
 //! reactor — no slab slot, poller registration, or gauge is ever
 //! touched from a sibling's thread.
+//!
+//! ## The hit path
+//!
+//! A parsed `POST /identify` is decoded, normalised and probed against
+//! this reactor's cache set right here (`server::identify_probe`). A
+//! hit, or a body that deserves a `400`, is answered through
+//! [`Conn::complete`] without touching the pool — no handoff, no queue
+//! wait, no wake-up. A miss goes to the pool carrying its key, so the
+//! worker neither decodes nor probes again.
 //!
 //! ## Admission control
 //!
@@ -21,6 +32,9 @@
 //! is answered `503` right here on the reactor thread — the request
 //! never crosses into the pool, so overload sheds work at the cheapest
 //! possible point instead of queueing it into ever-worse latency.
+//! Inline answers are exempt: a cache hit never enters the pool, so it
+//! neither counts against the cap nor is shed by it — `/identify` hits
+//! keep getting `200`s while misses get `503`s.
 //!
 //! ## Tokens and generations
 //!
@@ -39,10 +53,12 @@
 //! closes whatever remains at the drain deadline.
 
 use crate::conn::{Conn, Step};
-use crate::http::ParserLimits;
-use crate::metrics::ReactorStats;
+use crate::http::{self, ParserLimits, Request};
+use crate::metrics::{ReactorStats, TRACE_STRIPES};
 use crate::pool::{Completion, Job};
-use crate::server::{ServeConfig, ServerState};
+use crate::server::{
+    identify_probe, Identify, RequestTrace, ServeConfig, ServerState, CONTENT_TYPE_JSON,
+};
 use crate::sys::{Event, Interest, Poller, WakePipe};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
@@ -99,6 +115,9 @@ pub(crate) struct Reactor {
     /// The result-cache shard set this reactor's requests probe
     /// (`index % cache.sets()`, precomputed).
     cache_set: usize,
+    /// Reusable body buffer for the responses this thread answers
+    /// inline (grows to the largest result once, then stops allocating).
+    body: String,
     /// Test hook: panic once `accepted` exceeds this (see
     /// `ServeConfig::fail_after_accepts`).
     fail_after_accepts: Option<u64>,
@@ -160,6 +179,7 @@ impl Reactor {
                 config.max_inflight
             },
             cache_set,
+            body: String::new(),
             fail_after_accepts: config.fail_after_accepts,
             draining: false,
             drain_deadline: now,
@@ -253,9 +273,9 @@ impl Reactor {
         }
     }
 
-    /// Apply a state-machine step: register a dispatch (or shed it on
-    /// the admission cap), sync interest, or tear the connection down.
-    /// A loop because shedding answers the request inline and may
+    /// Apply a state-machine step: answer an `/identify` inline, register
+    /// a dispatch (or shed it on the admission cap), sync interest, or
+    /// tear the connection down. A loop because an inline answer may
     /// surface the *next* pipelined request as a fresh dispatch.
     fn apply(&mut self, idx: usize, step: Step, now: Instant) {
         let mut step = step;
@@ -263,18 +283,32 @@ impl Reactor {
             match step {
                 Step::Continue => return self.sync_interest(idx),
                 Step::Dispatch(request, request_id) => {
+                    let started = Instant::now();
+                    let mut miss_key = None;
+                    if request.method == "POST" && request.path == "/identify" {
+                        // The hit path (see module docs).
+                        let mut trace = RequestTrace::new(request_id, self.index % TRACE_STRIPES);
+                        trace.cache_set = self.cache_set;
+                        self.body.clear();
+                        match identify_probe(&self.state, &request.body, &mut trace, &mut self.body)
+                        {
+                            Identify::Answered(status) => {
+                                step = self
+                                    .answer_inline(idx, status, &request, request_id, started, now);
+                                continue;
+                            }
+                            Identify::Miss(key) => miss_key = Some(key),
+                        }
+                    }
                     if self.inflight >= self.max_inflight {
                         // Over the cap: answer 503 on this thread and
                         // drop the parsed request without ever queueing
                         // it — the whole point of admission control.
-                        let keep_alive = request.keep_alive;
-                        drop(request);
                         step = self.slots[idx]
                             .conn
                             .as_mut()
                             .expect("resolved")
-                            .reject_overload(keep_alive, now);
-                        let _ = request_id;
+                            .reject_overload(request.keep_alive, now);
                         continue;
                     }
                     self.stats.busy.fetch_add(1, Ordering::Relaxed);
@@ -284,7 +318,9 @@ impl Reactor {
                         reactor: self.index,
                         cache_set: self.cache_set,
                         request,
+                        miss_key,
                         request_id,
+                        started,
                         dispatched_at: Instant::now(),
                     };
                     if self.jobs.send(job).is_err() {
@@ -298,6 +334,39 @@ impl Reactor {
                 Step::Close => return self.close_conn(idx),
             }
         }
+    }
+
+    /// Write an `/identify` answered on this thread (its body is in
+    /// `self.body`) into the connection, the way [`Reactor::drain_completions`]
+    /// delivers a pool completion, and return the connection's next step.
+    fn answer_inline(
+        &mut self,
+        idx: usize,
+        status: u16,
+        request: &Request,
+        request_id: u64,
+        started: Instant,
+        now: Instant,
+    ) -> Step {
+        let metrics = self.state.metrics();
+        if status >= 400 {
+            metrics.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let response = http::response_bytes_from_reactor(
+            status,
+            CONTENT_TYPE_JSON,
+            &self.body,
+            request.keep_alive,
+            self.index as u64,
+        );
+        let step = self.slots[idx].conn.as_mut().expect("resolved").complete(
+            response,
+            request.keep_alive && !self.draining,
+            request_id,
+            now,
+        );
+        metrics.record_latency(urlid_telemetry::duration_micros(started.elapsed()));
+        step
     }
 
     /// Push every finished response into its connection (stale tokens —
@@ -323,7 +392,7 @@ impl Reactor {
                 completion.request_id,
                 now,
             );
-            // End-to-end: reactor dispatch → response flushed to the
+            // End-to-end: reactor pick-up → response flushed to the
             // socket (the `complete` call above ran the write pass).
             // `saturating` because the completion may land within the
             // same loop iteration as its dispatch.
@@ -331,7 +400,7 @@ impl Reactor {
                 self.state
                     .metrics()
                     .record_latency(urlid_telemetry::duration_micros(
-                        Instant::now().saturating_duration_since(completion.dispatched_at),
+                        Instant::now().saturating_duration_since(completion.started),
                     ));
             }
             self.apply(idx, step, now);

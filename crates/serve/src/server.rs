@@ -11,10 +11,18 @@
 //! migrates — no hot-path state crosses reactor boundaries. Each
 //! reactor feeds bytes into per-connection incremental parsers and
 //! writes responses over non-blocking sockets multiplexed by a
-//! level-triggered epoll instance (see [`crate::sys`]). Fully parsed
-//! requests are dispatched to a small **scoring pool** (the
-//! internal `pool` module) sized to the CPU count, whose threads only
-//! ever run compute. Total thread budget: `reactors + cores`,
+//! level-triggered epoll instance (see [`crate::sys`]). A parsed
+//! `POST /identify` is decoded, normalised and probed against the
+//! reactor's cache set on the reactor thread: a **hit** (about nine in
+//! ten requests in a crawl frontier) or a bad body is answered right
+//! there, with no handoff. A **miss** is dispatched with its normalised
+//! key to a small **scoring pool** (the internal `pool` module) sized
+//! to the CPU count, which scores, caches and writes the result without
+//! decoding or probing again; so does every other route
+//! (`/identify_batch`, health, metrics, admin). The pool's threads only
+//! ever run compute. Both paths write results with [`write_result`]
+//! straight into the response body — no JSON value tree. Total thread
+//! budget: `reactors + cores`,
 //! independent of the number of open connections — thousands of
 //! mostly-idle keep-alive clients cost slab slots, not threads. (The
 //! previous engine parked one blocking worker thread per keep-alive
@@ -24,7 +32,8 @@
 //! [`ServeConfig::max_inflight`] requests per reactor may sit in the
 //! scoring pool at once; the excess is answered `503` directly on the
 //! reactor thread without ever crossing into the pool, so overload
-//! sheds load instead of queueing it.
+//! sheds load instead of queueing it. Inline cache hits never enter
+//! the pool, so they neither count against the cap nor get shed.
 //!
 //! ## Hot reload
 //!
@@ -45,6 +54,7 @@ use crate::pool::{CompletionPort, ScoringPool};
 use crate::reactor::Reactor;
 use crate::sys::{WakePipe, Waker};
 use serde::Value;
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -60,7 +70,7 @@ use urlid_lexicon::ALL_LANGUAGES;
 use urlid_telemetry::{duration_micros, PromWriter, Stage};
 
 /// Content type of every JSON response.
-const CONTENT_TYPE_JSON: &str = "application/json";
+pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
 /// Content type of the Prometheus text exposition (format 0.0.4).
 const CONTENT_TYPE_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
 
@@ -88,7 +98,8 @@ pub struct ServeConfig {
     pub scoring_threads: usize,
     /// Per-reactor admission-control limit: at most this many requests
     /// from one reactor may be in the scoring pool at once; the excess
-    /// is answered `503` on the reactor thread. `0` disables the limit.
+    /// is answered `503` on the reactor thread. `/identify` cache hits,
+    /// answered on the reactor, are exempt. `0` disables the limit.
     pub max_inflight: usize,
     /// Number of cache shards (mutex stripes) *per shard set*; each
     /// reactor maps onto one set of the state's [`ResultCache`].
@@ -110,9 +121,11 @@ pub struct ServeConfig {
     /// this is off; turning it off exists for A/B overhead runs
     /// (`urlid serve --telemetry off`).
     pub telemetry: bool,
-    /// Requests slower than this (end-to-end, microseconds) emit one
-    /// rate-limited key=value line to stderr; `0` disables the slow
-    /// log entirely.
+    /// Requests served by the scoring pool that are slower than this
+    /// (end-to-end, microseconds) emit one rate-limited key=value line
+    /// to stderr; `0` disables the slow log entirely. `/identify` cache
+    /// hits, answered on the reactor with no queue and no scoring, are
+    /// not logged.
     pub slow_request_micros: u64,
     /// Test hook: a reactor panics once it has accepted more than this
     /// many connections (`Some(0)` panics on the first accept). Used by
@@ -151,7 +164,8 @@ pub(crate) struct RequestTrace {
     /// Result-cache shard set of the dispatching reactor (set `0` for
     /// anything that scores outside a reactor context).
     pub cache_set: usize,
-    /// Result-cache probe duration in microseconds.
+    /// Result-cache probe duration in microseconds (stays `0` on the
+    /// pool for an `/identify` miss: its probe ran on the reactor).
     pub cache_us: u64,
     /// Feature-extraction duration in microseconds (cache miss only).
     pub extract_us: u64,
@@ -321,6 +335,13 @@ impl ServerState {
         (Arc::clone(&slot.identifier), slot.epoch)
     }
 
+    /// The current cache epoch (what a cache probe compares entries
+    /// against; cheaper than [`ServerState::model`], which also clones
+    /// the identifier handle).
+    pub fn epoch(&self) -> u64 {
+        self.read_slot().epoch
+    }
+
     /// Model, epoch *and* provenance under a single lock hold, so a
     /// concurrent reload can never produce a torn epoch/path/format
     /// pairing in `/healthz`, `/metrics` or reload responses.
@@ -418,26 +439,21 @@ impl ServerState {
         })
     }
 
-    /// Score one normalised URL, through the cache. Cache misses score
-    /// through the calling worker's reusable [`ExtractScratch`], so the
-    /// extract-and-score path allocates nothing in steady state — the
-    /// stage spans recorded along the way keep that property (atomic
-    /// histogram bumps plus a copy into a pre-allocated trace slot).
-    fn scores_cached(
+    /// Score one normalised URL whose cache probe missed and cache the
+    /// result. Scoring runs through the calling worker's reusable
+    /// [`ExtractScratch`], so the extract-and-score path allocates
+    /// nothing in steady state — the stage spans recorded along the way
+    /// keep that property (atomic histogram bumps plus a copy into a
+    /// pre-allocated trace slot). The insert uses the epoch of the model
+    /// that scored, so a reload between the probe and here can never
+    /// tag new scores with an old epoch.
+    fn score_miss(
         &self,
         key: &str,
         scratch: &mut ExtractScratch,
         trace: &mut RequestTrace,
-    ) -> (CachedScores, bool) {
+    ) -> CachedScores {
         let (identifier, epoch) = self.model();
-        let cache_started = Instant::now();
-        let hit = self.cache.get_in(trace.cache_set, key, epoch);
-        trace.cache_us = duration_micros(cache_started.elapsed());
-        self.metrics
-            .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_us);
-        if let Some(scores) = hit {
-            return (scores, true);
-        }
         // With telemetry off the plain entry point runs — the timed
         // variant executes the exact same float operations (it shares
         // the extraction/scoring helpers), the split just reads the
@@ -465,7 +481,7 @@ impl ServerState {
             identifier.classifier_set().score_all_with(key, scratch)
         };
         self.cache.insert_in(trace.cache_set, key, epoch, scores);
-        (scores, false)
+        scores
     }
 
     /// Score a batch of normalised URLs: cache lookups first, then one
@@ -529,41 +545,108 @@ pub(crate) fn error_body(message: &str) -> String {
     serde_json::to_string(&o).expect("error body serialises")
 }
 
-/// One URL's result object (shared by `/identify` and `/identify_batch`).
-/// Decisions and the best language are derived from the scores alone
-/// (sign convention), which is what makes score-only caching sufficient.
-fn result_value(key: &str, scores: &CachedScores, cached: bool) -> Value {
-    let mut score_map = Value::object();
-    let mut accepted = Vec::new();
+/// Append `s` as a JSON string literal: the escaping `serde_json`
+/// writes (`\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX` for the other
+/// control characters, everything else verbatim), copied in runs
+/// between the bytes that need it.
+fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `byte` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append a score the way `serde_json` writes a float: Rust's shortest
+/// round-trip form (`{:?}`), or `null` when missing or not finite.
+fn write_json_score(out: &mut String, score: Option<f64>) {
+    match score {
+        Some(x) if x.is_finite() => {
+            let _ = write!(out, "{x:?}");
+        }
+        _ => out.push_str("null"),
+    }
+}
+
+/// Append one URL's result object (shared by `/identify` and
+/// `/identify_batch`):
+/// `{"url":…,"best":…,"accepted":[…],"scores":{…},"cached":…}`.
+///
+/// The bytes are exactly those `serde_json::to_string` writes for the
+/// equivalent `Value` tree (a property test pins this down), without
+/// building the tree. Decisions and the best language are derived from
+/// the scores alone (sign convention), which is what makes score-only
+/// caching sufficient.
+pub fn write_result(out: &mut String, key: &str, scores: &CachedScores, cached: bool) {
+    out.push_str("{\"url\":");
+    write_json_str(out, key);
+    out.push_str(",\"best\":");
+    match LanguageClassifierSet::best_of(scores) {
+        Some(lang) => write_json_str(out, lang.iso_code()),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"accepted\":[");
+    let mut first = true;
     for lang in ALL_LANGUAGES {
-        let score = scores[lang.index()];
-        score_map.insert(
-            lang.iso_code(),
-            match score {
-                Some(s) => Value::Float(s),
-                None => Value::Null,
-            },
-        );
         // The sign convention (decision == score > 0) is proptested for
         // every algorithm, so decisions are free given the scores.
-        if score.is_some_and(|s| s > 0.0) {
-            accepted.push(Value::Str(lang.iso_code().to_owned()));
+        if scores[lang.index()].is_some_and(|s| s > 0.0) {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            write_json_str(out, lang.iso_code());
         }
     }
-    let best = LanguageClassifierSet::best_of(scores);
-    let mut o = Value::object();
-    o.insert("url", Value::Str(key.to_owned()));
-    o.insert(
-        "best",
-        match best {
-            Some(lang) => Value::Str(lang.iso_code().to_owned()),
-            None => Value::Null,
-        },
+    out.push_str("],\"scores\":{");
+    for (i, lang) in ALL_LANGUAGES.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_str(out, lang.iso_code());
+        out.push(':');
+        write_json_score(out, scores[lang.index()]);
+    }
+    out.push_str("},\"cached\":");
+    out.push_str(if cached { "true" } else { "false" });
+    out.push('}');
+}
+
+/// Append the `/identify_batch` envelope,
+/// `{"count":…,"cache_hits":…,"results":[…]}`, with one
+/// [`write_result`] object per key.
+pub fn write_batch(out: &mut String, keys: &[String], results: &[(CachedScores, bool)]) {
+    let hits = results.iter().filter(|(_, cached)| *cached).count();
+    let _ = write!(
+        out,
+        "{{\"count\":{},\"cache_hits\":{hits},\"results\":[",
+        keys.len()
     );
-    o.insert("accepted", Value::Array(accepted));
-    o.insert("scores", score_map);
-    o.insert("cached", Value::Bool(cached));
-    o
+    for (i, (key, (scores, cached))) in keys.iter().zip(results).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_result(out, key, scores, *cached);
+    }
+    out.push_str("]}");
 }
 
 fn model_value(status: &ModelStatus) -> Value {
@@ -636,28 +719,79 @@ fn parse_json(body: &str) -> Result<Value, String> {
     serde_json::from_str::<Value>(body).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
-fn handle_identify(
-    state: &ServerState,
-    req: &Request,
-    scratch: &mut ExtractScratch,
-    trace: &mut RequestTrace,
-) -> (u16, String) {
-    let parsed = match parse_json(&req.body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&e)),
-    };
+/// What the reactor's half of `POST /identify` decided.
+pub(crate) enum Identify {
+    /// Answered with this status — a cache hit (`200`) or a body that
+    /// deserves a `400` — and the response body is written.
+    Answered(u16),
+    /// The normalised key missed the cache: the pool scores it with
+    /// [`identify_miss`].
+    Miss(String),
+}
+
+/// Decode a `POST /identify` body to its normalised cache key, or to
+/// the message of the `400` it deserves.
+fn identify_key(body: &str) -> Result<String, String> {
+    let parsed = parse_json(body)?;
     let Some(Value::Str(url)) = parsed.get("url") else {
-        return (400, error_body("body must be {\"url\": \"...\"}"));
+        return Err("body must be {\"url\": \"...\"}".to_owned());
     };
     let key = normalize_url(url);
     if key.is_empty() {
-        return (400, error_body("empty url"));
+        return Err("empty url".to_owned());
     }
-    let (scores, cached) = state.scores_cached(&key, scratch, trace);
-    let body =
-        serde_json::to_string(&result_value(&key, &scores, cached)).expect("response serialises");
+    Ok(key)
+}
+
+/// The front half of `POST /identify`, run on the reactor thread:
+/// decode the body, normalise the URL and probe the cache once. A hit
+/// or a bad body is answered into `out` right away; a miss hands its
+/// key back for [`identify_miss`], which never probes again, so
+/// `cache.hits + cache.misses` counts each request exactly once.
+pub(crate) fn identify_probe(
+    state: &ServerState,
+    body: &str,
+    trace: &mut RequestTrace,
+    out: &mut String,
+) -> Identify {
+    let key = match identify_key(body) {
+        Ok(key) => key,
+        Err(message) => {
+            out.push_str(&error_body(&message));
+            return Identify::Answered(400);
+        }
+    };
+    let epoch = state.epoch();
+    let cache_started = Instant::now();
+    let hit = state.cache.get_in(trace.cache_set, &key, epoch);
+    trace.cache_us = duration_micros(cache_started.elapsed());
+    state
+        .metrics
+        .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_us);
+    match hit {
+        Some(scores) => {
+            write_result(out, &key, &scores, true);
+            state.metrics.identify.fetch_add(1, Ordering::Relaxed);
+            Identify::Answered(200)
+        }
+        None => Identify::Miss(key),
+    }
+}
+
+/// The back half of `POST /identify`, run on a scoring-pool thread:
+/// score the key whose probe missed, cache it, and return the body of
+/// its `200`.
+pub(crate) fn identify_miss(
+    state: &ServerState,
+    key: &str,
+    scratch: &mut ExtractScratch,
+    trace: &mut RequestTrace,
+) -> String {
+    let scores = state.score_miss(key, scratch, trace);
+    let mut body = String::new();
+    write_result(&mut body, key, &scores, false);
     state.metrics.identify.fetch_add(1, Ordering::Relaxed);
-    (200, body)
+    body
 }
 
 fn handle_identify_batch(
@@ -686,20 +820,8 @@ fn handle_identify_batch(
         }
     }
     let results = state.scores_cached_batch(&keys, trace);
-    let mut hits = 0u64;
-    let items: Vec<Value> = keys
-        .iter()
-        .zip(&results)
-        .map(|(key, (scores, cached))| {
-            hits += u64::from(*cached);
-            result_value(key, scores, *cached)
-        })
-        .collect();
-    let mut o = Value::object();
-    o.insert("count", Value::Uint(items.len() as u64));
-    o.insert("cache_hits", Value::Uint(hits));
-    o.insert("results", Value::Array(items));
-    let body = serde_json::to_string(&o).expect("response serialises");
+    let mut body = String::new();
+    write_batch(&mut body, &keys, &results);
     state.metrics.identify_batch.fetch_add(1, Ordering::Relaxed);
     state
         .metrics
@@ -1050,21 +1172,19 @@ fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
     }
 }
 
-/// Route one request to its handler (runs on a scoring-pool thread,
-/// which owns `scratch` — one reusable extraction buffer per worker —
-/// and `trace` — the stage-span context for this request). Returns
+/// Route one request to its handler (runs on a scoring-pool thread;
+/// `trace` is the stage-span context for this request). Returns
 /// status, content type, and body.
+///
+/// `POST /identify` never gets here: the reactor answers hits and bad
+/// bodies itself ([`identify_probe`]), and the pool finishes misses with
+/// [`identify_miss`].
 pub(crate) fn route(
     state: &ServerState,
     req: &Request,
-    scratch: &mut ExtractScratch,
     trace: &mut RequestTrace,
 ) -> (u16, &'static str, String) {
     let (status, content_type, body) = match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/identify") => {
-            let (status, body) = handle_identify(state, req, scratch, trace);
-            (status, CONTENT_TYPE_JSON, body)
-        }
         ("POST", "/identify_batch") => {
             let (status, body) = handle_identify_batch(state, req, trace);
             (status, CONTENT_TYPE_JSON, body)

@@ -3,14 +3,18 @@
 //! many-idle-connection multiplexing, oversized-body rejection before
 //! allocation, graceful shutdown draining in-flight work, and the
 //! multi-reactor guarantees (connection affinity, reload visibility
-//! across cache shard sets, sibling survival of a reactor panic).
+//! across cache shard sets, sibling survival of a reactor panic), and
+//! admission control shedding misses while cache hits stay inline.
 
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use urlid::features::{SparseVector, WordFeatureExtractor};
 use urlid::prelude::*;
+use urlid_classifiers::VectorClassifier;
 use urlid_serve::http;
 use urlid_serve::server::{spawn, ServeConfig, ServerHandle, ServerState};
 use urlid_serve::ResultCache;
@@ -664,4 +668,120 @@ fn reactor_panic_is_contained_and_drains_the_siblings() {
             .load(std::sync::atomic::Ordering::Relaxed),
         1
     );
+}
+
+// ---------------------------------------------------------------------
+// Admission control
+// ---------------------------------------------------------------------
+
+/// A deliberately slow scorer: while `hold` is set, every score waits
+/// for it to clear, so a cache miss can be parked in the scoring pool
+/// for as long as the test needs.
+struct Gated {
+    hold: Arc<AtomicBool>,
+}
+
+impl VectorClassifier for Gated {
+    fn score(&self, features: &SparseVector) -> f64 {
+        while self.hold.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        features.sum() - 0.5
+    }
+}
+
+fn gated_identifier(hold: &Arc<AtomicBool>) -> LanguageIdentifier {
+    let mut generator = UrlGenerator::new(23);
+    let train = odp_dataset(&mut generator, CorpusScale::tiny()).train;
+    let mut extractor = WordFeatureExtractor::default();
+    extractor.fit(&train.urls);
+    let set = LanguageClassifierSet::build_vector(Arc::new(extractor), |_| {
+        Box::new(Gated {
+            hold: Arc::clone(hold),
+        })
+    });
+    LanguageIdentifier::from_classifier_set(
+        set,
+        TrainingConfig::new(FeatureSetKind::Words, Algorithm::NaiveBayes),
+    )
+}
+
+/// With one scoring thread and `max_inflight = 1`, a miss parked in the
+/// pool fills the reactor's admission budget. Further misses — on a
+/// keep-alive connection and on fresh ones — are shed as `503`s and
+/// counted as `admission_rejects` (not errors), while an `/identify`
+/// cache hit is still answered `200` inline: hits never enter the pool,
+/// so they are exempt from the cap. The shed keep-alive connection
+/// stays usable once the pool drains.
+#[test]
+fn full_pool_sheds_misses_but_still_answers_cache_hits() {
+    let hold = Arc::new(AtomicBool::new(false));
+    let state = Arc::new(ServerState::new(gated_identifier(&hold), None, 1024));
+    let config = ServeConfig {
+        reactors: 1,
+        scoring_threads: 1,
+        max_inflight: 1,
+        ..ServeConfig::default()
+    };
+    let server = spawn(&config, Arc::clone(&state)).expect("bind");
+    let addr = server.addr();
+    let hot = "http://www.wetter-heute.de/berlin";
+    let (status, _) = identify(addr, hot);
+    assert_eq!(status, 200, "warming the cache");
+
+    // Park one miss in the pool: the reactor's only in-flight slot.
+    hold.store(true, Ordering::Release);
+    let parked = std::thread::spawn(move || identify(addr, "http://www.geparkt.de/"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while state.metrics().connections_busy_total() < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the parked miss never reached the pool"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut send = |url: &str| {
+        let body = format!("{{\"url\": \"{url}\"}}");
+        http::write_request(&mut writer, "POST", "/identify", Some(&body)).expect("write");
+        let (status, body) = http::read_response(&mut reader).expect("read");
+        (
+            status,
+            serde_json::from_str::<Value>(&body).expect("JSON body"),
+        )
+    };
+    for i in 0..3 {
+        let (status, body) = send(&format!("http://www.abgewiesen-{i}.de/"));
+        assert_eq!(status, 503, "miss {i} must be shed while the pool is full");
+        assert!(body.get("error").is_some(), "{body:?}");
+    }
+    for i in 0..2 {
+        let (status, _) = identify(addr, &format!("http://www.neu-{i}.de/"));
+        assert_eq!(status, 503, "miss on a fresh connection {i}");
+    }
+    let (status, body) = send(hot);
+    assert_eq!(status, 200, "a cache hit is answered inline, past the cap");
+    assert_eq!(body.get("cached"), Some(&Value::Bool(true)));
+
+    let metrics = state.metrics();
+    assert_eq!(metrics.admission_rejects_total(), 5);
+    assert_eq!(
+        metrics.errors.load(Ordering::Relaxed),
+        0,
+        "sheds are not errors"
+    );
+
+    // Release the pool: the parked miss finishes, and the shed
+    // keep-alive connection serves a miss normally.
+    hold.store(false, Ordering::Release);
+    let (status, _) = parked.join().expect("parked client");
+    assert_eq!(status, 200, "the parked miss completes");
+    let (status, body) = send("http://www.abgewiesen-0.de/");
+    assert_eq!(status, 200, "the shed connection is still usable");
+    assert_eq!(body.get("cached"), Some(&Value::Bool(false)));
+    assert_eq!(metrics.admission_rejects_total(), 5);
+    server.shutdown();
 }

@@ -588,3 +588,96 @@ fn telemetry_off_keeps_counters_and_latency_only() {
     );
     server.shutdown();
 }
+
+/// Every `/identify` is decoded and probed exactly once, on the
+/// reactor: over N requests of which k repeat a URL, the cache counts
+/// k hits and N lookups. Repeats are answered inline — a `cache` span
+/// and no `queue` (or `extract`) span — while misses cross to the pool.
+/// The `identify` counter and the latency histogram still see every
+/// request, and an inline `400` still counts as an error.
+#[test]
+fn identify_probes_once_and_answers_repeats_without_queueing() {
+    let state = Arc::new(ServerState::new(trained_identifier(), None, 1024));
+    let config = ServeConfig {
+        reactors: 1,
+        ..ServeConfig::default()
+    };
+    let server = spawn(&config, state).expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut send = |method: &str, path: &str, body: Option<&str>| {
+        http::write_request(&mut writer, method, path, body).expect("write");
+        let (status, body) = http::read_response(&mut reader).expect("read");
+        (status, serde_json::from_str::<Value>(&body).expect("JSON"))
+    };
+
+    let sequence = [0, 1, 2, 3, 4, 5, 0, 2, 4, 0];
+    let n = sequence.len() as u64;
+    let mut seen = std::collections::HashSet::new();
+    let mut k = 0u64;
+    for i in sequence {
+        let url = format!("http://www.seite-{i}.de/pfad");
+        let (status, body) = send(
+            "POST",
+            "/identify",
+            Some(&format!("{{\"url\": \"{url}\"}}")),
+        );
+        assert_eq!(status, 200);
+        let repeat = !seen.insert(i);
+        k += u64::from(repeat);
+        assert_eq!(body.get("cached"), Some(&Value::Bool(repeat)), "{url}");
+    }
+    let (status, _) = send("POST", "/identify", Some("{\"nope\": 1}"));
+    assert_eq!(status, 400, "a bad body is answered inline");
+
+    let (status, metrics) = send("GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let cache = metrics.get("cache").expect("cache");
+    assert_eq!(uint_of(cache, "hits"), k);
+    assert_eq!(
+        uint_of(cache, "hits") + uint_of(cache, "misses"),
+        n,
+        "each URL is probed exactly once"
+    );
+    let requests = metrics.get("requests").expect("requests");
+    assert_eq!(uint_of(requests, "identify"), n);
+    assert_eq!(uint_of(requests, "errors"), 1, "the inline 400 counts");
+    assert_eq!(
+        uint_of(metrics.get("latency").unwrap(), "count"),
+        n + 1,
+        "every /identify, the 400 included, is timed"
+    );
+    let stages = metrics.get("stages").expect("stages");
+    assert_eq!(uint_of(stages.get("cache").unwrap(), "count"), n);
+    assert_eq!(uint_of(stages.get("extract").unwrap(), "count"), n - k);
+    // The misses crossed to the pool, and so did this /metrics request.
+    assert_eq!(uint_of(stages.get("queue").unwrap(), "count"), n - k + 1);
+
+    let (status, trace) = send("GET", "/admin/trace", None);
+    assert_eq!(status, 200);
+    let Some(Value::Array(spans)) = trace.get("spans") else {
+        panic!("spans must be an array");
+    };
+    let mut by_request: std::collections::BTreeMap<u64, Vec<&str>> = Default::default();
+    for span in spans {
+        by_request
+            .entry(uint_of(span, "request_id"))
+            .or_default()
+            .push(as_str(span, "stage"));
+    }
+    let probed: Vec<&Vec<&str>> = by_request
+        .values()
+        .filter(|stages| stages.contains(&"cache"))
+        .collect();
+    assert_eq!(probed.len() as u64, n, "{by_request:?}");
+    let inline = probed.iter().filter(|s| !s.contains(&"queue")).count() as u64;
+    assert_eq!(inline, k, "repeats are answered without a queue stage");
+    assert!(
+        probed
+            .iter()
+            .all(|s| s.contains(&"queue") == s.contains(&"extract")),
+        "exactly the misses are queued and scored: {by_request:?}"
+    );
+    server.shutdown();
+}
