@@ -1,19 +1,18 @@
 //! The scoring pool: a small fixed set of CPU-bound worker threads.
 //!
-//! The reactors hand over fully parsed requests ([`Job`]) that they
-//! could not answer themselves: `POST /identify` cache *misses* — which
-//! arrive with their normalised key, already decoded and probed, so the
-//! worker only scores, inserts and writes the result — and every other
-//! route (`/identify_batch`, health, metrics, admin). Cache hits never
-//! get here; the reactor answers them inline. A worker routes the
-//! request through the handlers (scoring, cache, metrics, reload — all
-//! in `server.rs`), serialises the response, and pushes a
-//! [`Completion`] back to the **originating reactor's** completion port
-//! for it to write. (Keeping the socket writes on the reactor preserves
-//! write batching: the reactor drains a whole burst of completions in
-//! one scheduling quantum, where per-worker direct writes measured
-//! *slower* on few-core boxes — each write immediately woke its client
-//! and shredded the batch.)
+//! The reactors hand over fully parsed requests ([`Job`]) that they did
+//! not answer themselves (`server::try_inline` decides which): cache
+//! *misses*, which arrive with their normalised key so the worker only
+//! scores, inserts and writes the result, and every other route
+//! (`/identify_batch`, health, metrics, admin, oversized `/identify`
+//! bodies). A worker passes the job to `server::route` (scoring, cache,
+//! metrics, reload — all in `server.rs`), serialises the response, and
+//! pushes a [`Completion`] back to the **originating reactor's**
+//! completion port for it to write. (Keeping the socket writes on the
+//! reactor preserves write batching: the reactor drains a whole burst
+//! of completions in one scheduling quantum, where per-worker direct
+//! writes measured *slower* on few-core boxes — each write immediately
+//! woke its client and shredded the batch.)
 //!
 //! One job channel feeds every worker, and any worker serves any
 //! reactor. The pool is work-conserving: a traffic imbalance between
@@ -34,7 +33,7 @@
 //! to over-provision past the cores.
 
 use crate::http::{self, Request};
-use crate::server::{identify_miss, route, RequestTrace, ServerState, CONTENT_TYPE_JSON};
+use crate::server::{records_latency, route, RequestTrace, ServerState};
 use crate::sys::Waker;
 use std::io;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -58,10 +57,9 @@ pub(crate) struct Job {
     pub cache_set: usize,
     /// The parsed request.
     pub request: Request,
-    /// For a `POST /identify`: the normalised key whose cache probe on
-    /// the reactor missed. The worker scores it with
-    /// [`identify_miss`] — no second decode, no second probe. `None`
-    /// for every other route.
+    /// The normalised key of a `POST /identify` whose cache probe on
+    /// the reactor missed (`server::try_inline`); [`route`] scores it
+    /// without a second decode or probe. `None` for everything else.
     pub miss_key: Option<String>,
     /// Request id assigned at parse completion (span correlation).
     pub request_id: u64,
@@ -183,14 +181,13 @@ fn spawn_worker(
                     Stage::Queue,
                     queue_micros,
                 );
-                let (status, content_type, body) = match job.miss_key.as_deref() {
-                    Some(key) => (
-                        200,
-                        CONTENT_TYPE_JSON,
-                        identify_miss(&state, key, &mut scratch, &mut trace),
-                    ),
-                    None => route(&state, &job.request, &mut trace),
-                };
+                let (status, content_type, body) = route(
+                    &state,
+                    &job.request,
+                    job.miss_key.as_deref(),
+                    &mut scratch,
+                    &mut trace,
+                );
                 let total_micros =
                     queue_micros + urlid_telemetry::duration_micros(picked_up.elapsed());
                 if metrics.slow.should_log(total_micros, metrics.now_micros()) {
@@ -224,10 +221,7 @@ fn spawn_worker(
                     keep_alive,
                     request_id: job.request_id,
                     started: job.started,
-                    record_latency: matches!(
-                        job.request.path.as_str(),
-                        "/identify" | "/identify_batch"
-                    ),
+                    record_latency: records_latency(&job.request),
                 };
                 let Some(port) = ports.get(job.reactor) else {
                     continue; // a mis-tagged job has nowhere to go

@@ -18,12 +18,16 @@
 //!
 //! ## The hit path
 //!
-//! A parsed `POST /identify` is decoded, normalised and probed against
-//! this reactor's cache set right here (`server::identify_probe`). A
-//! hit, or a body that deserves a `400`, is answered through
-//! [`Conn::complete`] without touching the pool — no handoff, no queue
-//! wait, no wake-up. A miss goes to the pool carrying its key, so the
-//! worker neither decodes nor probes again.
+//! Every parsed request first goes through `server::try_inline`, which
+//! decodes, normalises and probes a `POST /identify` against this
+//! reactor's cache set right here. A hit, or a body that deserves a
+//! `400`, is answered through [`Conn::complete`] without touching the
+//! pool — no handoff, no queue wait, no wake-up. A miss goes to the
+//! pool carrying its key, so the worker neither decodes nor probes
+//! again. Bodies over `server::INLINE_BODY_MAX` (8 KiB, far above any
+//! `{"url": ...}`) are not decoded here: they go to the pool whole,
+//! like every other route, so one large body never stalls this
+//! reactor's other connections.
 //!
 //! ## Admission control
 //!
@@ -34,7 +38,9 @@
 //! possible point instead of queueing it into ever-worse latency.
 //! Inline answers are exempt: a cache hit never enters the pool, so it
 //! neither counts against the cap nor is shed by it — `/identify` hits
-//! keep getting `200`s while misses get `503`s.
+//! keep getting `200`s while misses get `503`s. A shed miss has paid
+//! for its (at most 8 KiB) decode and probe; an oversized body is shed
+//! before any decode.
 //!
 //! ## Tokens and generations
 //!
@@ -57,7 +63,7 @@ use crate::http::{self, ParserLimits, Request};
 use crate::metrics::{ReactorStats, TRACE_STRIPES};
 use crate::pool::{Completion, Job};
 use crate::server::{
-    identify_probe, Identify, RequestTrace, ServeConfig, ServerState, CONTENT_TYPE_JSON,
+    try_inline, Identify, RequestTrace, ServeConfig, ServerState, CONTENT_TYPE_JSON,
 };
 use crate::sys::{Event, Interest, Poller, WakePipe};
 use std::net::TcpListener;
@@ -115,9 +121,6 @@ pub(crate) struct Reactor {
     /// The result-cache shard set this reactor's requests probe
     /// (`index % cache.sets()`, precomputed).
     cache_set: usize,
-    /// Reusable body buffer for the responses this thread answers
-    /// inline (grows to the largest result once, then stops allocating).
-    body: String,
     /// Test hook: panic once `accepted` exceeds this (see
     /// `ServeConfig::fail_after_accepts`).
     fail_after_accepts: Option<u64>,
@@ -179,7 +182,6 @@ impl Reactor {
                 config.max_inflight
             },
             cache_set,
-            body: String::new(),
             fail_after_accepts: config.fail_after_accepts,
             draining: false,
             drain_deadline: now,
@@ -284,22 +286,18 @@ impl Reactor {
                 Step::Continue => return self.sync_interest(idx),
                 Step::Dispatch(request, request_id) => {
                     let started = Instant::now();
-                    let mut miss_key = None;
-                    if request.method == "POST" && request.path == "/identify" {
-                        // The hit path (see module docs).
-                        let mut trace = RequestTrace::new(request_id, self.index % TRACE_STRIPES);
-                        trace.cache_set = self.cache_set;
-                        self.body.clear();
-                        match identify_probe(&self.state, &request.body, &mut trace, &mut self.body)
-                        {
-                            Identify::Answered(status) => {
-                                step = self
-                                    .answer_inline(idx, status, &request, request_id, started, now);
-                                continue;
-                            }
-                            Identify::Miss(key) => miss_key = Some(key),
+                    // The hit path (see module docs).
+                    let mut trace = RequestTrace::new(request_id, self.index % TRACE_STRIPES);
+                    trace.cache_set = self.cache_set;
+                    let miss_key = match try_inline(&self.state, &request, &mut trace) {
+                        Some(Identify::Answered(status, body)) => {
+                            step = self
+                                .answer_inline(idx, status, &body, &request, request_id, started);
+                            continue;
                         }
-                    }
+                        Some(Identify::Miss(key)) => Some(key),
+                        None => None,
+                    };
                     if self.inflight >= self.max_inflight {
                         // Over the cap: answer 503 on this thread and
                         // drop the parsed request without ever queueing
@@ -336,26 +334,22 @@ impl Reactor {
         }
     }
 
-    /// Write an `/identify` answered on this thread (its body is in
-    /// `self.body`) into the connection, the way [`Reactor::drain_completions`]
-    /// delivers a pool completion, and return the connection's next step.
+    /// Write a response answered on this thread into the connection, the
+    /// way [`Reactor::drain_completions`] delivers a pool completion, and
+    /// return the connection's next step.
     fn answer_inline(
         &mut self,
         idx: usize,
         status: u16,
+        body: &str,
         request: &Request,
         request_id: u64,
         started: Instant,
-        now: Instant,
     ) -> Step {
-        let metrics = self.state.metrics();
-        if status >= 400 {
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-        }
         let response = http::response_bytes_from_reactor(
             status,
             CONTENT_TYPE_JSON,
-            &self.body,
+            body,
             request.keep_alive,
             self.index as u64,
         );
@@ -363,9 +357,11 @@ impl Reactor {
             response,
             request.keep_alive && !self.draining,
             request_id,
-            now,
+            started,
         );
-        metrics.record_latency(urlid_telemetry::duration_micros(started.elapsed()));
+        self.state
+            .metrics()
+            .record_latency(urlid_telemetry::duration_micros(started.elapsed()));
         step
     }
 

@@ -11,16 +11,16 @@
 //! migrates — no hot-path state crosses reactor boundaries. Each
 //! reactor feeds bytes into per-connection incremental parsers and
 //! writes responses over non-blocking sockets multiplexed by a
-//! level-triggered epoll instance (see [`crate::sys`]). A parsed
-//! `POST /identify` is decoded, normalised and probed against the
-//! reactor's cache set on the reactor thread: a **hit** (about nine in
-//! ten requests in a crawl frontier) or a bad body is answered right
-//! there, with no handoff. A **miss** is dispatched with its normalised
-//! key to a small **scoring pool** (the internal `pool` module) sized
-//! to the CPU count, which scores, caches and writes the result without
-//! decoding or probing again; so does every other route
-//! (`/identify_batch`, health, metrics, admin). The pool's threads only
-//! ever run compute. Both paths write results with [`write_result`]
+//! level-triggered epoll instance (see [`crate::sys`]). `try_inline`
+//! decodes, normalises and probes a parsed `POST /identify` against the
+//! reactor's cache set on the reactor thread: a **hit** or a bad body is
+//! answered right there, with no handoff. A **miss** is dispatched with
+//! its normalised key to a small **scoring pool** (the internal `pool`
+//! module) sized to the CPU count, where `route` scores, caches and
+//! writes the result without decoding or probing again; every other
+//! route (`/identify_batch`, health, metrics, admin, and `/identify`
+//! bodies over `INLINE_BODY_MAX`) goes there too. The pool's threads
+//! only ever run compute. Both paths write results with [`write_result`]
 //! straight into the response body — no JSON value tree. Total thread
 //! budget: `reactors + cores`,
 //! independent of the number of open connections — thousands of
@@ -719,13 +719,23 @@ fn parse_json(body: &str) -> Result<Value, String> {
     serde_json::from_str::<Value>(body).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
-/// What the reactor's half of `POST /identify` decided.
+/// Starting capacity of a result body: one `write_result` for a typical
+/// crawl URL (five `{x:?}` scores plus the envelope) fits without
+/// regrowing.
+const RESULT_CAPACITY: usize = 256;
+
+/// Largest `POST /identify` body the reactor decodes itself. A plain
+/// `{"url": "..."}` stays far below it; a larger body goes to the pool
+/// whole, under admission control, so no decode on a reactor thread
+/// ever takes long enough to stall that reactor's other connections.
+pub(crate) const INLINE_BODY_MAX: usize = 8 * 1024;
+
+/// What probing a `POST /identify` body decided.
 pub(crate) enum Identify {
-    /// Answered with this status — a cache hit (`200`) or a body that
-    /// deserves a `400` — and the response body is written.
-    Answered(u16),
-    /// The normalised key missed the cache: the pool scores it with
-    /// [`identify_miss`].
+    /// Answered with this status and body: a cache hit (`200`) or a
+    /// body that deserves a `400`.
+    Answered(u16, String),
+    /// The normalised key missed the cache; [`route`] scores it.
     Miss(String),
 }
 
@@ -743,23 +753,14 @@ fn identify_key(body: &str) -> Result<String, String> {
     Ok(key)
 }
 
-/// The front half of `POST /identify`, run on the reactor thread:
-/// decode the body, normalise the URL and probe the cache once. A hit
-/// or a bad body is answered into `out` right away; a miss hands its
-/// key back for [`identify_miss`], which never probes again, so
-/// `cache.hits + cache.misses` counts each request exactly once.
-pub(crate) fn identify_probe(
-    state: &ServerState,
-    body: &str,
-    trace: &mut RequestTrace,
-    out: &mut String,
-) -> Identify {
+/// The front half of `POST /identify`: decode the body, normalise the
+/// URL and probe the cache once. A hit or a bad body is answered; a
+/// miss hands its key on to [`handle_identify`], which never probes
+/// again, so `cache.hits + cache.misses` counts each request once.
+fn identify_probe(state: &ServerState, body: &str, trace: &mut RequestTrace) -> Identify {
     let key = match identify_key(body) {
         Ok(key) => key,
-        Err(message) => {
-            out.push_str(&error_body(&message));
-            return Identify::Answered(400);
-        }
+        Err(message) => return Identify::Answered(400, error_body(&message)),
     };
     let epoch = state.epoch();
     let cache_started = Instant::now();
@@ -770,28 +771,41 @@ pub(crate) fn identify_probe(
         .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_us);
     match hit {
         Some(scores) => {
-            write_result(out, &key, &scores, true);
+            let mut body = String::with_capacity(RESULT_CAPACITY);
+            write_result(&mut body, &key, &scores, true);
             state.metrics.identify.fetch_add(1, Ordering::Relaxed);
-            Identify::Answered(200)
+            Identify::Answered(200, body)
         }
         None => Identify::Miss(key),
     }
 }
 
-/// The back half of `POST /identify`, run on a scoring-pool thread:
-/// score the key whose probe missed, cache it, and return the body of
-/// its `200`.
-pub(crate) fn identify_miss(
+/// `POST /identify` on the pool: score, cache and write a miss the
+/// reactor already probed (`miss_key`), or run the whole request for a
+/// body the reactor left alone (one over [`INLINE_BODY_MAX`]).
+fn handle_identify(
     state: &ServerState,
-    key: &str,
+    req: &Request,
+    miss_key: Option<&str>,
     scratch: &mut ExtractScratch,
     trace: &mut RequestTrace,
-) -> String {
+) -> (u16, String) {
+    let probed;
+    let key = match miss_key {
+        Some(key) => key,
+        None => match identify_probe(state, &req.body, trace) {
+            Identify::Answered(status, body) => return (status, body),
+            Identify::Miss(key) => {
+                probed = key;
+                &probed
+            }
+        },
+    };
     let scores = state.score_miss(key, scratch, trace);
-    let mut body = String::new();
+    let mut body = String::with_capacity(RESULT_CAPACITY);
     write_result(&mut body, key, &scores, false);
     state.metrics.identify.fetch_add(1, Ordering::Relaxed);
-    body
+    (200, body)
 }
 
 fn handle_identify_batch(
@@ -1172,19 +1186,45 @@ fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
     }
 }
 
-/// Route one request to its handler (runs on a scoring-pool thread;
-/// `trace` is the stage-span context for this request). Returns
-/// status, content type, and body.
-///
-/// `POST /identify` never gets here: the reactor answers hits and bad
-/// bodies itself ([`identify_probe`]), and the pool finishes misses with
-/// [`identify_miss`].
-pub(crate) fn route(
+/// The reactor's share of the routing: a `POST /identify` whose body
+/// is at most [`INLINE_BODY_MAX`] bytes is decoded, normalised and
+/// probed on the calling reactor thread. `Some(Answered)` is a hit or a
+/// `400` to write back right away; `Some(Miss)` and `None` go to the
+/// pool, where [`route`] takes the miss's key. Everything else —
+/// `/identify_batch`, health, metrics, admin, oversized bodies — is
+/// `None`.
+pub(crate) fn try_inline(
     state: &ServerState,
     req: &Request,
     trace: &mut RequestTrace,
+) -> Option<Identify> {
+    if req.method != "POST" || req.path != "/identify" || req.body.len() > INLINE_BODY_MAX {
+        return None;
+    }
+    let probed = identify_probe(state, &req.body, trace);
+    if matches!(probed, Identify::Answered(status, _) if status >= 400) {
+        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+    }
+    Some(probed)
+}
+
+/// Route one request to its handler (runs on a scoring-pool thread;
+/// `trace` is the stage-span context for this request). `miss_key` is
+/// the key of a `POST /identify` that [`try_inline`] already probed;
+/// `scratch` is the worker's extraction scratch. Returns status,
+/// content type, and body.
+pub(crate) fn route(
+    state: &ServerState,
+    req: &Request,
+    miss_key: Option<&str>,
+    scratch: &mut ExtractScratch,
+    trace: &mut RequestTrace,
 ) -> (u16, &'static str, String) {
     let (status, content_type, body) = match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/identify") => {
+            let (status, body) = handle_identify(state, req, miss_key, scratch, trace);
+            (status, CONTENT_TYPE_JSON, body)
+        }
         ("POST", "/identify_batch") => {
             let (status, body) = handle_identify_batch(state, req, trace);
             (status, CONTENT_TYPE_JSON, body)
@@ -1213,6 +1253,12 @@ pub(crate) fn route(
         state.metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
     (status, content_type, body)
+}
+
+/// Whether a request counts into the end-to-end latency histogram: the
+/// scoring endpoints do, `/healthz`-style bookkeeping does not.
+pub(crate) fn records_latency(req: &Request) -> bool {
+    matches!(req.path.as_str(), "/identify" | "/identify_batch")
 }
 
 // ---------------------------------------------------------------------

@@ -785,3 +785,86 @@ fn full_pool_sheds_misses_but_still_answers_cache_hits() {
     assert_eq!(metrics.admission_rejects_total(), 5);
     server.shutdown();
 }
+
+/// An `/identify` body far over anything a `{"url": ...}` needs is not
+/// decoded on the reactor: it goes to the pool whole, under admission
+/// control. While such a body is parked in the pool, a cache hit on
+/// another connection is still answered inline; a second large body
+/// arriving then is shed with `503` before any decode or cache probe;
+/// and once the pool drains, the shed connection gets its large body
+/// answered by the pool, still probing the cache exactly once.
+#[test]
+fn large_identify_bodies_go_to_the_pool_and_leave_hits_inline() {
+    let hold = Arc::new(AtomicBool::new(false));
+    let state = Arc::new(ServerState::new(gated_identifier(&hold), None, 1024));
+    let config = ServeConfig {
+        reactors: 1,
+        scoring_threads: 1,
+        max_inflight: 1,
+        ..ServeConfig::default()
+    };
+    let server = spawn(&config, Arc::clone(&state)).expect("bind");
+    let addr = server.addr();
+    let hot = "http://www.wetter-heute.de/berlin";
+    let (status, _) = identify(addr, hot);
+    assert_eq!(status, 200, "warming the cache");
+    // JSON whitespace pads the body to 1 MiB without changing its URL.
+    let large = |url: &str| format!("{{\"url\": \"{url}\"{}}}", " ".repeat(1 << 20));
+    let send = |conn: &mut (TcpStream, BufReader<TcpStream>), body: &str| {
+        http::write_request(&mut conn.0, "POST", "/identify", Some(body)).expect("write");
+        let (status, body) = http::read_response(&mut conn.1).expect("read");
+        (
+            status,
+            serde_json::from_str::<Value>(&body).expect("JSON body"),
+        )
+    };
+    let connect = move || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        (stream.try_clone().expect("clone"), BufReader::new(stream))
+    };
+
+    // A large miss is parked in the pool, filling the admission budget.
+    hold.store(true, Ordering::Release);
+    let parked_body = large("http://www.gross.de/");
+    let parked = std::thread::spawn(move || send(&mut connect(), &parked_body));
+    // Its one probe is the second miss, made by the pool worker.
+    let cache = state.cache();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cache.misses() < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the large body was never probed on the pool"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(state.metrics().connections_busy_total(), 1);
+    assert_eq!((cache.hits(), cache.misses()), (0, 2));
+
+    let (status, body) = send(&mut connect(), &format!("{{\"url\": \"{hot}\"}}"));
+    assert_eq!(
+        status, 200,
+        "a hit is answered inline while the pool is full"
+    );
+    assert_eq!(body.get("cached"), Some(&Value::Bool(true)));
+
+    let mut shed = connect();
+    let (status, _) = send(&mut shed, &large(hot));
+    assert_eq!(status, 503, "a large body is under admission control");
+    assert_eq!(
+        (cache.hits(), cache.misses()),
+        (1, 2),
+        "the shed large body was never decoded or probed"
+    );
+    assert_eq!(state.metrics().admission_rejects_total(), 1);
+
+    hold.store(false, Ordering::Release);
+    let (status, body) = parked.join().expect("parked client");
+    assert_eq!(status, 200, "the parked large body completes");
+    assert_eq!(body.get("cached"), Some(&Value::Bool(false)));
+    let (status, body) = send(&mut shed, &large(hot));
+    assert_eq!(status, 200, "the pool answers a large body's hit");
+    assert_eq!(body.get("cached"), Some(&Value::Bool(true)));
+    assert_eq!((cache.hits(), cache.misses()), (2, 2));
+    assert_eq!(state.metrics().errors.load(Ordering::Relaxed), 0);
+    server.shutdown();
+}

@@ -16,15 +16,17 @@ use urlid::prelude::*;
 
 const HEADER_FIXED: usize = 24;
 
-/// One packed NB/Words model shared by every corruption.
-fn packed_model() -> (PathBuf, LanguageIdentifier) {
+/// One packed NB/Words model shared by every corruption, written to
+/// `name` (each test packs its own file: the tests run in parallel and
+/// two packs of one path would race on its temporary file).
+fn packed_model(name: &str) -> (PathBuf, LanguageIdentifier) {
     let mut generator = UrlGenerator::new(4009);
     let training = odp_dataset(&mut generator, CorpusScale::tiny()).train;
     let config = TrainingConfig::new(FeatureSetKind::Words, Algorithm::NaiveBayes);
     let bundle = ModelBundle::train(&training, &config).expect("train");
     let dir = std::env::temp_dir().join(format!("urlid-urlm-corruption-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.urlm");
+    let path = dir.join(name);
     bundle.pack(&path).expect("pack");
     let reference = ModelSource::binary(&path)
         .load_identifier()
@@ -47,7 +49,7 @@ fn load_mutated(
 
 #[test]
 fn every_corruption_is_a_typed_error_and_never_a_panic() {
-    let (path, _reference) = packed_model();
+    let (path, _reference) = packed_model("corrupt.urlm");
 
     let truncated_header = load_mutated(&path, "header.urlm", |b| b.truncate(10));
     assert!(
@@ -119,7 +121,7 @@ fn every_corruption_is_a_typed_error_and_never_a_panic() {
 
 #[test]
 fn json_bytes_behind_a_urlm_extension_are_rejected() {
-    let (path, _reference) = packed_model();
+    let (path, _reference) = packed_model("json.urlm");
     let fake = path.with_file_name("fake.urlm");
     std::fs::write(&fake, b"{\"config\": {}}").unwrap();
     let err = ModelSource::detect(&fake);
@@ -131,7 +133,7 @@ fn json_bytes_behind_a_urlm_extension_are_rejected() {
 
 #[test]
 fn heap_fallback_scores_identically_to_the_mapped_path() {
-    let (path, reference) = packed_model();
+    let (path, reference) = packed_model("heap.urlm");
     // `URLID_NO_MMAP=1` forces the aligned-heap fallback the non-unix
     // targets use; it must decode the same file to the same scores.
     std::env::set_var("URLID_NO_MMAP", "1");
