@@ -65,5 +65,5 @@ pub use model::{
 pub use naive_bayes::{NaiveBayes, NaiveBayesConfig};
 pub use rank_order::{RankOrder, RankOrderConfig};
 pub use relative_entropy::{RelativeEntropy, RelativeEntropyConfig};
-pub use set::{LanguageClassifierSet, LanguageScorer, ScoreSplit};
+pub use set::{LanguageClassifierSet, LanguageScorer, ScoreSplit, PARALLEL_THRESHOLD};
 pub use stats::{PartialCounts, PartialDistributions, StatsTrainer};

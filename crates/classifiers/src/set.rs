@@ -24,26 +24,21 @@
 use crate::compile::CompiledPlane;
 use crate::model::{HybridClassifier, UrlClassifier, VectorClassifier};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use urlid_features::{ExtractScratch, FeatureExtractor, SparseVector};
 use urlid_lexicon::{Language, ALL_LANGUAGES};
 
 /// How one scoring call's wall clock divided between feature
 /// extraction and scoring (reported by
 /// [`LanguageClassifierSet::score_all_with_split`], recorded into the
-/// serve layer's per-stage histograms).
+/// serve layer's per-stage histograms in whatever unit they keep).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScoreSplit {
-    /// Microseconds spent extracting features into the sparse vector.
-    pub extract_micros: u64,
-    /// Microseconds spent scoring (fused plane passes, the Markov
-    /// re-walk, and any boxed fallbacks).
-    pub score_micros: u64,
-}
-
-/// A `Duration` as saturating whole microseconds.
-#[inline]
-fn duration_micros(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+    /// Time spent extracting features into the sparse vector.
+    pub extract: Duration,
+    /// Time spent scoring (fused plane passes, the Markov re-walk, and
+    /// any boxed fallbacks).
+    pub score: Duration,
 }
 
 /// How one language's score is produced from a URL.
@@ -451,26 +446,26 @@ impl LanguageClassifierSet {
         url: &str,
         scratch: &mut ExtractScratch,
     ) -> ([Option<f64>; 5], ScoreSplit) {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         match &self.compiled {
             Some(plane) => {
                 let vector = self.extract_compiled(plane, url, scratch);
-                let t1 = std::time::Instant::now();
+                let t1 = Instant::now();
                 let out = self.score_compiled_from_vector(plane, url, vector.as_ref(), scratch);
                 let split = ScoreSplit {
-                    extract_micros: duration_micros(t1.duration_since(t0)),
-                    score_micros: duration_micros(t1.elapsed()),
+                    extract: t1.duration_since(t0),
+                    score: t1.elapsed(),
                 };
                 Self::return_vector(scratch, vector);
                 (out, split)
             }
             None => {
                 let vector = self.extract_once(url, scratch);
-                let t1 = std::time::Instant::now();
+                let t1 = Instant::now();
                 let out = self.score_interpreted_from_vector(url, vector.as_ref());
                 let split = ScoreSplit {
-                    extract_micros: duration_micros(t1.duration_since(t0)),
-                    score_micros: duration_micros(t1.elapsed()),
+                    extract: t1.duration_since(t0),
+                    score: t1.elapsed(),
                 };
                 (out, split)
             }
@@ -688,8 +683,9 @@ impl LanguageClassifierSet {
     }
 }
 
-/// Below this many URLs a sequential loop beats thread start-up.
-const PARALLEL_THRESHOLD: usize = 256;
+/// Below this many URLs a sequential loop beats thread start-up, so the
+/// batch methods fan out over the cores only from this size on.
+pub const PARALLEL_THRESHOLD: usize = 256;
 
 /// Map `f` over the URLs with one scratch per worker thread, preserving
 /// input order. Uses scoped threads (the workspace has no rayon — the

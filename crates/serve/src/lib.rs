@@ -30,7 +30,9 @@
 //!   threads total;
 //! * [`cache`] — a mutex-striped, capacity-bounded LRU **result cache**
 //!   keyed by normalised URL — partitionable into per-reactor shard
-//!   sets — so repeated URLs skip tokenisation and feature extraction
+//!   sets, one keyed hash per key, keys and scores in slab slots that a
+//!   full cache reuses without allocating — so repeated URLs skip
+//!   tokenisation and feature extraction
 //!   entirely (asserted by an integration test through
 //!   [`urlid_features::CountingExtractor`]);
 //! * [`metrics`] — request counters, connection gauges (open / idle /
@@ -60,7 +62,7 @@
 //! | Endpoint              | Method | Body                        | Response                                     |
 //! |-----------------------|--------|-----------------------------|----------------------------------------------|
 //! | `/identify`           | POST   | `{"url": "..."}`            | per-language scores, decisions, best, cached |
-//! | `/identify_batch`     | POST   | `{"urls": ["...", ...]}`    | one result per URL (parallel scoring)        |
+//! | `/identify_batch`     | POST   | `{"urls": ["...", ...]}`    | one result per URL, misses scored in order   |
 //! | `/healthz`            | GET    | —                           | status, model config, uptime                 |
 //! | `/metrics`            | GET    | —                           | counters, cache, latency + per-stage histograms; JSON by default, Prometheus text 0.0.4 on `Accept: text/plain` |
 //! | `/admin/trace`        | GET    | —                           | last buffered stage spans with request ids   |
@@ -94,6 +96,7 @@
 #[cfg(not(target_os = "linux"))]
 compile_error!("urlid-serve is Linux-only: its reactors are built on epoll");
 
+mod body;
 pub mod cache;
 mod conn;
 pub mod http;

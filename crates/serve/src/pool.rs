@@ -33,7 +33,7 @@
 //! to over-provision past the cores.
 
 use crate::http::{self, Request};
-use crate::server::{records_latency, route, RequestTrace, ServerState};
+use crate::server::{records_latency, route, RequestTrace, ServerState, WorkerScratch};
 use crate::sys::Waker;
 use std::io;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -155,10 +155,10 @@ fn spawn_worker(
     std::thread::Builder::new()
         .name(format!("urlid-serve-score-{index}"))
         .spawn(move || {
-            // Each worker owns one extraction scratch for its whole
-            // lifetime: after warm-up, scoring a cache-missed URL
-            // allocates nothing.
-            let mut scratch = urlid_features::ExtractScratch::new();
+            // Each worker owns its scratch buffers for its whole
+            // lifetime: after warm-up, decoding, scoring and caching a
+            // batch of misses allocates nothing.
+            let mut scratch = WorkerScratch::default();
             loop {
                 // A poisoned lock or closed channel both mean the
                 // server is coming down — exit quietly, no panic

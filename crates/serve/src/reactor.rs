@@ -58,6 +58,7 @@
 //! boundaries, lets in-flight requests finish and flush, and force
 //! closes whatever remains at the drain deadline.
 
+use crate::body::Keys;
 use crate::conn::{Conn, Step};
 use crate::http::{self, ParserLimits, Request};
 use crate::metrics::{ReactorStats, TRACE_STRIPES};
@@ -121,6 +122,9 @@ pub(crate) struct Reactor {
     /// The result-cache shard set this reactor's requests probe
     /// (`index % cache.sets()`, precomputed).
     cache_set: usize,
+    /// The decoded key of the `/identify` body being probed, reused
+    /// request after request.
+    keys: Keys,
     /// Test hook: panic once `accepted` exceeds this (see
     /// `ServeConfig::fail_after_accepts`).
     fail_after_accepts: Option<u64>,
@@ -182,6 +186,7 @@ impl Reactor {
                 config.max_inflight
             },
             cache_set,
+            keys: Keys::default(),
             fail_after_accepts: config.fail_after_accepts,
             draining: false,
             drain_deadline: now,
@@ -289,15 +294,17 @@ impl Reactor {
                     // The hit path (see module docs).
                     let mut trace = RequestTrace::new(request_id, self.index % TRACE_STRIPES);
                     trace.cache_set = self.cache_set;
-                    let miss_key = match try_inline(&self.state, &request, &mut trace) {
-                        Some(Identify::Answered(status, body)) => {
-                            step = self
-                                .answer_inline(idx, status, &body, &request, request_id, started);
-                            continue;
-                        }
-                        Some(Identify::Miss(key)) => Some(key),
-                        None => None,
-                    };
+                    let miss_key =
+                        match try_inline(&self.state, &request, &mut self.keys, &mut trace) {
+                            Some(Identify::Answered(status, body)) => {
+                                step = self.answer_inline(
+                                    idx, status, &body, &request, request_id, started,
+                                );
+                                continue;
+                            }
+                            Some(Identify::Miss(key)) => Some(key),
+                            None => None,
+                        };
                     if self.inflight >= self.max_inflight {
                         // Over the cap: answer 503 on this thread and
                         // drop the parsed request without ever queueing

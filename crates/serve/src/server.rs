@@ -20,8 +20,14 @@
 //! writes the result without decoding or probing again; every other
 //! route (`/identify_batch`, health, metrics, admin, and `/identify`
 //! bodies over `INLINE_BODY_MAX`) goes there too. The pool's threads
-//! only ever run compute. Both paths write results with [`write_result`]
-//! straight into the response body — no JSON value tree. Total thread
+//! only ever run compute. Both scoring endpoints read their bodies with
+//! the internal `body` scanner, which normalises URLs straight from the
+//! body into a reusable key buffer, and both write results with
+//! [`write_result`] straight into the response body — no JSON value tree
+//! either way. A batch with fewer than `PARALLEL_THRESHOLD` misses is
+//! scored one URL after another through the worker's own extraction
+//! scratch, so a warm worker serves it with a constant handful of
+//! allocations; a larger one fans out over all cores. Total thread
 //! budget: `reactors + cores`,
 //! independent of the number of open connections — thousands of
 //! mostly-idle keep-alive clients cost slab slots, not threads. (The
@@ -47,7 +53,8 @@
 //! dropped. The epoch bump atomically invalidates the result cache (see
 //! [`crate::cache`]).
 
-use crate::cache::{normalize_url, CachedScores, ResultCache};
+use crate::body::{self, Keys, Shape};
+use crate::cache::{CachedScores, ResultCache};
 use crate::http::{Request, MAX_BODY_BYTES};
 use crate::metrics::{Metrics, IO_BACKEND};
 use crate::pool::{CompletionPort, ScoringPool};
@@ -64,7 +71,7 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use urlid::{LanguageIdentifier, ModelFormat, ModelSource};
-use urlid_classifiers::LanguageClassifierSet;
+use urlid_classifiers::{LanguageClassifierSet, PARALLEL_THRESHOLD};
 use urlid_features::ExtractScratch;
 use urlid_lexicon::ALL_LANGUAGES;
 use urlid_telemetry::{duration_micros, PromWriter, Stage};
@@ -462,19 +469,19 @@ impl ServerState {
             let (scores, split) = identifier
                 .classifier_set()
                 .score_all_with_split(key, scratch);
-            trace.extract_us = split.extract_micros;
-            trace.score_us = split.score_micros;
+            trace.extract_us = duration_micros(split.extract);
+            trace.score_us = duration_micros(split.score);
             self.metrics.record_stage_end(
                 trace.stripe,
                 trace.request_id,
                 Stage::Extract,
-                split.extract_micros,
+                trace.extract_us,
             );
             self.metrics.record_stage_end(
                 trace.stripe,
                 trace.request_id,
                 Stage::Score,
-                split.score_micros,
+                trace.score_us,
             );
             scores
         } else {
@@ -484,52 +491,102 @@ impl ServerState {
         scores
     }
 
-    /// Score a batch of normalised URLs: cache lookups first, then one
-    /// parallel `score_batch` fan-out over the misses. The batch path
-    /// records the cache probe as one cache-stage span and the whole
-    /// fan-out as one score-stage span (extraction happens inside the
-    /// per-core workers and is not split out here).
+    /// Score a batch of normalised URLs into `out.results`, one
+    /// `(scores, cached)` per key: cache lookups first, each hashing its
+    /// key once (the hash is kept for the insert), then the misses
+    /// scored, then inserted. Fewer than [`PARALLEL_THRESHOLD`] misses
+    /// are scored one after another through the worker's own `extract`
+    /// scratch, so a warm `out` makes the whole pass allocation-free;
+    /// from that many on, `score_batch` fans them out over all cores, so
+    /// one client's large batch does not wait on a single thread. The
+    /// batch records the lookups as one cache-stage span and the scoring
+    /// as one score-stage span (extraction included).
     fn scores_cached_batch(
         &self,
-        keys: &[String],
+        keys: &Keys,
+        out: &mut BatchBuffers,
+        extract: &mut ExtractScratch,
         trace: &mut RequestTrace,
-    ) -> Vec<(CachedScores, bool)> {
+    ) {
         let (identifier, epoch) = self.model();
+        let set = trace.cache_set;
+        out.clear();
         let cache_started = Instant::now();
-        let mut out: Vec<Option<(CachedScores, bool)>> = keys
-            .iter()
-            .map(|k| {
-                self.cache
-                    .get_in(trace.cache_set, k, epoch)
-                    .map(|s| (s, true))
-            })
-            .collect();
-        let miss_indices: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
+        for key in keys.iter() {
+            let hash = self.cache.hash(key);
+            out.hashes.push(hash);
+            out.results
+                .push(match self.cache.get_hashed(set, hash, key, epoch) {
+                    Some(scores) => (scores, true),
+                    None => ([None; 5], false),
+                });
+        }
         trace.cache_us = duration_micros(cache_started.elapsed());
         self.metrics
             .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_us);
-        if !miss_indices.is_empty() {
-            let miss_urls: Vec<&str> = miss_indices.iter().map(|&i| keys[i].as_str()).collect();
-            // The existing scoped-thread batch path: one extraction per
-            // URL, fanned out over all cores.
-            let score_started = Instant::now();
-            let scored = identifier.classifier_set().score_batch(&miss_urls);
-            trace.score_us = duration_micros(score_started.elapsed());
-            self.metrics.record_stage_end(
-                trace.stripe,
-                trace.request_id,
-                Stage::Score,
-                trace.score_us,
-            );
-            for (&i, scores) in miss_indices.iter().zip(scored) {
-                self.cache
-                    .insert_in(trace.cache_set, &keys[i], epoch, scores);
-                out[i] = Some((scores, false));
+        if out.results.iter().all(|&(_, cached)| cached) {
+            return;
+        }
+        let classifiers = identifier.classifier_set();
+        let score_started = Instant::now();
+        let misses = out.results.iter().filter(|&&(_, cached)| !cached).count();
+        if misses < PARALLEL_THRESHOLD {
+            for (i, (scores, cached)) in out.results.iter_mut().enumerate() {
+                if !*cached {
+                    *scores = classifiers.score_all_with(keys.get(i), extract);
+                }
+            }
+        } else {
+            let urls: Vec<&str> = keys
+                .iter()
+                .zip(&out.results)
+                .filter(|&(_, &(_, cached))| !cached)
+                .map(|(key, _)| key)
+                .collect();
+            let scored = classifiers.score_batch(&urls);
+            let missed = out.results.iter_mut().filter(|(_, cached)| !*cached);
+            for ((scores, _), new) in missed.zip(scored) {
+                *scores = new;
             }
         }
-        out.into_iter()
-            .map(|slot| slot.expect("every index scored"))
-            .collect()
+        trace.score_us = duration_micros(score_started.elapsed());
+        self.metrics
+            .record_stage_end(trace.stripe, trace.request_id, Stage::Score, trace.score_us);
+        for (i, &(scores, cached)) in out.results.iter().enumerate() {
+            if !cached {
+                self.cache
+                    .insert_hashed(set, out.hashes[i], keys.get(i), epoch, scores);
+            }
+        }
+    }
+}
+
+/// What a scoring-pool worker keeps from one request to the next: the
+/// extraction scratch, the decoded keys and the batch buffers. Warm,
+/// they let a batch of misses be decoded, probed, scored and inserted
+/// without allocating.
+#[derive(Default)]
+pub(crate) struct WorkerScratch {
+    extract: ExtractScratch,
+    keys: Keys,
+    batch: BatchBuffers,
+}
+
+/// The per-key buffers of [`ServerState::scores_cached_batch`].
+#[derive(Default)]
+struct BatchBuffers {
+    hashes: Vec<u64>,
+    results: Vec<(CachedScores, bool)>,
+}
+
+impl BatchBuffers {
+    /// Empty the buffers, keeping capacity for [`body::RETAINED_KEYS`]
+    /// URLs: one large batch does not pin its memory to the worker.
+    fn clear(&mut self) {
+        self.hashes.clear();
+        self.results.clear();
+        self.hashes.shrink_to(body::RETAINED_KEYS);
+        self.results.shrink_to(body::RETAINED_KEYS);
     }
 }
 
@@ -540,9 +597,11 @@ impl ServerState {
 /// Serialise a `{"error": ...}` body (shared with the connection state
 /// machine, which answers protocol violations without a handler).
 pub(crate) fn error_body(message: &str) -> String {
-    let mut o = Value::object();
-    o.insert("error", Value::Str(message.to_owned()));
-    serde_json::to_string(&o).expect("error body serialises")
+    let mut out = String::with_capacity(message.len() + 12);
+    out.push_str("{\"error\":");
+    write_json_str(&mut out, message);
+    out.push('}');
+    out
 }
 
 /// Append `s` as a JSON string literal: the escaping `serde_json`
@@ -634,13 +693,23 @@ pub fn write_result(out: &mut String, key: &str, scores: &CachedScores, cached: 
 /// `{"count":…,"cache_hits":…,"results":[…]}`, with one
 /// [`write_result`] object per key.
 pub fn write_batch(out: &mut String, keys: &[String], results: &[(CachedScores, bool)]) {
+    write_batch_of(out, keys.iter().map(String::as_str), results);
+}
+
+/// [`write_batch`] over keys from any source (the server's come from a
+/// [`Keys`] buffer).
+fn write_batch_of<'k>(
+    out: &mut String,
+    keys: impl ExactSizeIterator<Item = &'k str>,
+    results: &[(CachedScores, bool)],
+) {
     let hits = results.iter().filter(|(_, cached)| *cached).count();
     let _ = write!(
         out,
         "{{\"count\":{},\"cache_hits\":{hits},\"results\":[",
         keys.len()
     );
-    for (i, (key, (scores, cached))) in keys.iter().zip(results).enumerate() {
+    for (i, (key, (scores, cached))) in keys.zip(results).enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -719,10 +788,14 @@ fn parse_json(body: &str) -> Result<Value, String> {
     serde_json::from_str::<Value>(body).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
-/// Starting capacity of a result body: one `write_result` for a typical
-/// crawl URL (five `{x:?}` scores plus the envelope) fits without
-/// regrowing.
-const RESULT_CAPACITY: usize = 256;
+/// Most bytes [`write_result`] adds around its key, plus a separating
+/// comma: field names, the two-letter codes and five scores of at most
+/// 24 characters each (the longest `{x:?}` of an `f64`). A body sized
+/// with it is written without regrowing, unless keys need escaping.
+const RESULT_OVERHEAD: usize = 240;
+
+/// Most bytes of the `/identify_batch` envelope around its results.
+const BATCH_ENVELOPE: usize = 80;
 
 /// Largest `POST /identify` body the reactor decodes itself. A plain
 /// `{"url": "..."}` stays far below it; a larger body goes to the pool
@@ -739,44 +812,36 @@ pub(crate) enum Identify {
     Miss(String),
 }
 
-/// Decode a `POST /identify` body to its normalised cache key, or to
-/// the message of the `400` it deserves.
-fn identify_key(body: &str) -> Result<String, String> {
-    let parsed = parse_json(body)?;
-    let Some(Value::Str(url)) = parsed.get("url") else {
-        return Err("body must be {\"url\": \"...\"}".to_owned());
-    };
-    let key = normalize_url(url);
-    if key.is_empty() {
-        return Err("empty url".to_owned());
+/// The front half of `POST /identify`: scan the body into `keys`,
+/// normalising its URL, and probe the cache once. A hit or a bad body
+/// is answered; a miss hands its key on to [`handle_identify`], which
+/// never probes again, so `cache.hits + cache.misses` counts each
+/// request once.
+fn identify_probe(
+    state: &ServerState,
+    body: &str,
+    keys: &mut Keys,
+    trace: &mut RequestTrace,
+) -> Identify {
+    if let Err(message) = body::scan(body, Shape::One, keys) {
+        return Identify::Answered(400, error_body(&message));
     }
-    Ok(key)
-}
-
-/// The front half of `POST /identify`: decode the body, normalise the
-/// URL and probe the cache once. A hit or a bad body is answered; a
-/// miss hands its key on to [`handle_identify`], which never probes
-/// again, so `cache.hits + cache.misses` counts each request once.
-fn identify_probe(state: &ServerState, body: &str, trace: &mut RequestTrace) -> Identify {
-    let key = match identify_key(body) {
-        Ok(key) => key,
-        Err(message) => return Identify::Answered(400, error_body(&message)),
-    };
+    let key = keys.get(0);
     let epoch = state.epoch();
     let cache_started = Instant::now();
-    let hit = state.cache.get_in(trace.cache_set, &key, epoch);
+    let hit = state.cache.get_in(trace.cache_set, key, epoch);
     trace.cache_us = duration_micros(cache_started.elapsed());
     state
         .metrics
         .record_stage_end(trace.stripe, trace.request_id, Stage::Cache, trace.cache_us);
     match hit {
         Some(scores) => {
-            let mut body = String::with_capacity(RESULT_CAPACITY);
-            write_result(&mut body, &key, &scores, true);
+            let mut body = String::with_capacity(RESULT_OVERHEAD + key.len());
+            write_result(&mut body, key, &scores, true);
             state.metrics.identify.fetch_add(1, Ordering::Relaxed);
             Identify::Answered(200, body)
         }
-        None => Identify::Miss(key),
+        None => Identify::Miss(key.to_owned()),
     }
 }
 
@@ -787,13 +852,13 @@ fn handle_identify(
     state: &ServerState,
     req: &Request,
     miss_key: Option<&str>,
-    scratch: &mut ExtractScratch,
+    scratch: &mut WorkerScratch,
     trace: &mut RequestTrace,
 ) -> (u16, String) {
     let probed;
     let key = match miss_key {
         Some(key) => key,
-        None => match identify_probe(state, &req.body, trace) {
+        None => match identify_probe(state, &req.body, &mut scratch.keys, trace) {
             Identify::Answered(status, body) => return (status, body),
             Identify::Miss(key) => {
                 probed = key;
@@ -801,8 +866,8 @@ fn handle_identify(
             }
         },
     };
-    let scores = state.score_miss(key, scratch, trace);
-    let mut body = String::with_capacity(RESULT_CAPACITY);
+    let scores = state.score_miss(key, &mut scratch.extract, trace);
+    let mut body = String::with_capacity(RESULT_OVERHEAD + key.len());
     write_result(&mut body, key, &scores, false);
     state.metrics.identify.fetch_add(1, Ordering::Relaxed);
     (200, body)
@@ -811,31 +876,17 @@ fn handle_identify(
 fn handle_identify_batch(
     state: &ServerState,
     req: &Request,
+    scratch: &mut WorkerScratch,
     trace: &mut RequestTrace,
 ) -> (u16, String) {
-    let parsed = match parse_json(&req.body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&e)),
-    };
-    let Some(Value::Array(raw_urls)) = parsed.get("urls") else {
-        return (400, error_body("body must be {\"urls\": [\"...\", ...]}"));
-    };
-    let mut keys = Vec::with_capacity(raw_urls.len());
-    for v in raw_urls {
-        match v {
-            Value::Str(url) => {
-                let key = normalize_url(url);
-                if key.is_empty() {
-                    return (400, error_body("empty url in batch"));
-                }
-                keys.push(key);
-            }
-            _ => return (400, error_body("urls must all be strings")),
-        }
+    let keys = &mut scratch.keys;
+    if let Err(message) = body::scan(&req.body, Shape::Batch, keys) {
+        return (400, error_body(&message));
     }
-    let results = state.scores_cached_batch(&keys, trace);
-    let mut body = String::new();
-    write_batch(&mut body, &keys, &results);
+    state.scores_cached_batch(keys, &mut scratch.batch, &mut scratch.extract, trace);
+    let mut body =
+        String::with_capacity(BATCH_ENVELOPE + keys.text_len() + keys.len() * RESULT_OVERHEAD);
+    write_batch_of(&mut body, keys.iter(), &scratch.batch.results);
     state.metrics.identify_batch.fetch_add(1, Ordering::Relaxed);
     state
         .metrics
@@ -1196,12 +1247,13 @@ fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
 pub(crate) fn try_inline(
     state: &ServerState,
     req: &Request,
+    keys: &mut Keys,
     trace: &mut RequestTrace,
 ) -> Option<Identify> {
     if req.method != "POST" || req.path != "/identify" || req.body.len() > INLINE_BODY_MAX {
         return None;
     }
-    let probed = identify_probe(state, &req.body, trace);
+    let probed = identify_probe(state, &req.body, keys, trace);
     if matches!(probed, Identify::Answered(status, _) if status >= 400) {
         state.metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -1211,13 +1263,13 @@ pub(crate) fn try_inline(
 /// Route one request to its handler (runs on a scoring-pool thread;
 /// `trace` is the stage-span context for this request). `miss_key` is
 /// the key of a `POST /identify` that [`try_inline`] already probed;
-/// `scratch` is the worker's extraction scratch. Returns status,
+/// `scratch` holds the worker's reusable buffers. Returns status,
 /// content type, and body.
 pub(crate) fn route(
     state: &ServerState,
     req: &Request,
     miss_key: Option<&str>,
-    scratch: &mut ExtractScratch,
+    scratch: &mut WorkerScratch,
     trace: &mut RequestTrace,
 ) -> (u16, &'static str, String) {
     let (status, content_type, body) = match (req.method.as_str(), req.path.as_str()) {
@@ -1226,7 +1278,7 @@ pub(crate) fn route(
             (status, CONTENT_TYPE_JSON, body)
         }
         ("POST", "/identify_batch") => {
-            let (status, body) = handle_identify_batch(state, req, trace);
+            let (status, body) = handle_identify_batch(state, req, scratch, trace);
             (status, CONTENT_TYPE_JSON, body)
         }
         ("GET", "/healthz") => {

@@ -109,7 +109,7 @@ fn batch_cache_hits_extract_only_for_misses() {
     assert_eq!(counter.calls(), 1);
 
     // A batch where one URL is already cached: only the two new URLs
-    // extract (through the parallel score_batch path).
+    // extract (scored in order through the worker's own scratch).
     let batch =
         "{\"urls\": [\"http://a.de/wetter\", \"http://b.fr/meteo\", \"http://c.it/pagina\"]}";
     let (status, response) = request(addr, "POST", "/identify_batch", Some(batch));

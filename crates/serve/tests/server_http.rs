@@ -166,6 +166,79 @@ fn identify_batch_scores_every_url_and_reports_hits() {
     server.shutdown();
 }
 
+/// A batch with at least `PARALLEL_THRESHOLD` misses is scored by the
+/// fan-out over all cores; its results, in order, match the same URLs
+/// scored in small batches on the worker's own scratch.
+#[test]
+fn large_batches_score_like_small_ones() {
+    let misses = urlid_classifiers::PARALLEL_THRESHOLD + 44;
+    let cached = 10;
+    let words = [
+        "wetter",
+        "meteo",
+        "noticias",
+        "pagina",
+        "news",
+        "nachrichten",
+        "tiempo",
+        "giornale",
+        "weather",
+        "berlin",
+        "paris",
+        "madrid",
+        "roma",
+    ];
+    let tlds = ["de", "fr", "es", "it", "com"];
+    let urls: Vec<String> = (0..cached + misses)
+        .map(|i| {
+            let word = |k: usize| words[k % words.len()];
+            let (host, path) = (word(i), word(i / words.len() + 3));
+            format!("http://www.{host}.{}/{path}-{i}", tlds[i % tlds.len()])
+        })
+        .collect();
+    let batch = |urls: &[String]| {
+        let quoted: Vec<String> = urls.iter().map(|u| format!("\"{u}\"")).collect();
+        format!("{{\"urls\": [{}]}}", quoted.join(","))
+    };
+    let results_of = |response: &Value| match response.get("results") {
+        Some(Value::Array(results)) => results.clone(),
+        other => panic!("results must be an array, got {other:?}"),
+    };
+
+    let small = start_server(4096);
+    let mut expected = Vec::new();
+    for chunk in urls.chunks(8) {
+        let (status, response) =
+            request(small.addr(), "POST", "/identify_batch", Some(&batch(chunk)));
+        assert_eq!(status, 200);
+        assert_eq!(uint_of(&response, "cache_hits"), 0);
+        expected.extend(results_of(&response));
+    }
+    small.shutdown();
+
+    let large = start_server(4096);
+    let (status, _) = request(
+        large.addr(),
+        "POST",
+        "/identify_batch",
+        Some(&batch(&urls[..cached])),
+    );
+    assert_eq!(status, 200);
+    let (status, response) = request(large.addr(), "POST", "/identify_batch", Some(&batch(&urls)));
+    assert_eq!(status, 200);
+    assert_eq!(uint_of(&response, "count"), urls.len() as u64);
+    assert_eq!(uint_of(&response, "cache_hits"), cached as u64);
+    let results = results_of(&response);
+    assert_eq!(results.len(), expected.len());
+    for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
+        assert_eq!(as_str(got, "url"), urls[i]);
+        assert_eq!(got.get("scores"), want.get("scores"), "{}", urls[i]);
+        assert_eq!(got.get("best"), want.get("best"), "{}", urls[i]);
+        assert_eq!(got.get("cached"), Some(&Value::Bool(i < cached)));
+    }
+    large.shutdown();
+}
+
 #[test]
 fn error_paths_return_json_errors() {
     let server = start_server(1024);
@@ -193,6 +266,33 @@ fn error_paths_return_json_errors() {
     let (_, metrics) = request(addr, "GET", "/metrics", None);
     let requests = metrics.get("requests").expect("requests section");
     assert_eq!(uint_of(requests, "errors"), 6);
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_bodies_get_400_and_the_server_stays_up() {
+    // A megabyte of nesting, far under the body cap: decoded without a
+    // depth limit, it overflows a worker's stack and aborts the server.
+    let server = start_server(1024);
+    let addr = server.addr();
+    let nested = "[".repeat(1 << 20);
+    let wrapped = format!("{{\"urls\": {nested}");
+    for (path, body) in [
+        ("/identify_batch", nested.as_str()),
+        ("/identify_batch", wrapped.as_str()),
+        ("/identify", nested.as_str()),
+        ("/admin/reload", nested.as_str()),
+    ] {
+        let (status, response) = request(addr, "POST", path, Some(body));
+        assert_eq!(status, 400, "{path}");
+        assert!(
+            as_str(&response, "error").contains("recursion limit exceeded"),
+            "{path}: {response:?}"
+        );
+    }
+    let (status, health) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    assert_eq!(as_str(&health, "status"), "ok");
     server.shutdown();
 }
 

@@ -88,8 +88,9 @@ fn every_persistable_recipe_survives_save_and_reload_bit_identically() {
 
 #[test]
 fn reloaded_batch_path_agrees_with_saved_sequential_path() {
-    // The server scores cache misses through `score_batch`; a reloaded
-    // model must produce the same batch results as the original did
+    // The server scores a batch with enough cache misses through
+    // `score_batch` (smaller ones one URL at a time); a reloaded model
+    // must produce the same batch results as the original did
     // sequentially.
     let mut generator = UrlGenerator::new(92);
     let training = odp_dataset(&mut generator, CorpusScale::tiny()).train;
