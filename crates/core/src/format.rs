@@ -19,7 +19,7 @@
 //! ```text
 //! offset 0      magic            8 bytes  89 55 52 4C 4D 0D 0A 1A
 //!        8      endian tag       u32      0x01020304, written native
-//!        12     format version   u32      1
+//!        12     format version   u32      2
 //!        16     page size        u32      4096
 //!        20     section count    u32
 //!        24     section entries  32 bytes each:
@@ -62,7 +62,7 @@ use urlid_mapped::{Lane, Mapping, Pod};
 pub const URLM_MAGIC: [u8; 8] = [0x89, b'U', b'R', b'L', b'M', 0x0D, 0x0A, 0x1A];
 
 /// Current format version.
-pub const URLM_VERSION: u32 = 1;
+pub const URLM_VERSION: u32 = 2;
 
 /// Section alignment: every section starts on a 4096-byte boundary.
 pub const URLM_PAGE: u32 = 4096;
@@ -77,7 +77,7 @@ const HEADER_FIXED: usize = 8 + 4 + 4 + 4 + 4;
 /// Bytes per section-table entry.
 const ENTRY_BYTES: usize = 32;
 
-/// An implausible section count — the format has nine section kinds;
+/// An implausible section count — the format has eight section kinds;
 /// the cap only bounds the table scan on hostile headers.
 const MAX_SECTIONS: u32 = 64;
 
@@ -95,10 +95,10 @@ pub enum SectionId {
     Hashes = 4,
     /// Interned vocabulary: open-addressing probe table (`u32`).
     Table = 5,
-    /// Dense language-major weight matrix, f64 lane.
+    /// Dense language-major weight matrix (`f64`).
     Matrix = 6,
-    /// Dense language-major weight matrix, quantised f32 lane.
-    MatrixF32 = 7,
+    // Id 7 held a second, narrower copy of the weight matrix in format
+    // version 1; it stays unused so no version-2 id changes meaning.
     /// Markov transition matrix (only for Markov-backed planes).
     Markov = 8,
     /// The five per-language training-time models (tagged codec bytes).
@@ -115,7 +115,6 @@ impl SectionId {
             4 => "HASHES",
             5 => "TABLE",
             6 => "MATRIX",
-            7 => "MATRIX32",
             8 => "MARKOV",
             9 => "MODELS",
             _ => "UNKNOWN",

@@ -86,7 +86,12 @@ impl std::fmt::Display for PersistenceError {
             }
             PersistenceError::BadMagic => write!(f, "not a .urlm model file (bad magic)"),
             PersistenceError::UnsupportedVersion(v) => {
-                write!(f, "unsupported .urlm format version {v}")
+                write!(
+                    f,
+                    "unsupported .urlm format version {v} (this build reads version {}; \
+                     repack the model from its JSON with `urlid pack`)",
+                    crate::format::URLM_VERSION
+                )
             }
             PersistenceError::Endianness => {
                 write!(
@@ -309,7 +314,6 @@ impl ModelBundle {
             writer.push(SectionId::Table, u32_bytes(parts.table));
         }
         writer.push(SectionId::Matrix, payload.matrix);
-        writer.push(SectionId::MatrixF32, payload.matrix_f32);
         if !payload.markov.is_empty() {
             writer.push(SectionId::Markov, payload.markov);
         }
@@ -560,7 +564,6 @@ fn load_binary(path: &Path) -> Result<LanguageIdentifier, PersistenceError> {
     // The scoring plane, over zero-copy views of the mapped sections.
     let views = PlaneViews {
         matrix: file.lane(SectionId::Matrix)?,
-        matrix_f32: Some(file.lane(SectionId::MatrixF32)?),
         markov: file.lane_opt(SectionId::Markov)?,
     };
     let plane = urlid_classifiers::CompiledPlane::from_bytes(transform, meta.plane, views)
@@ -789,6 +792,27 @@ mod tests {
     }
 
     #[test]
+    fn version_1_files_are_rejected_with_a_typed_error() {
+        let path = temp_path("v1.urlm");
+        let bundle = ModelBundle::train(&tiny_training(), &TrainingConfig::paper_best()).unwrap();
+        bundle.pack(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[12..16].copy_from_slice(&1u32.to_ne_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let source = ModelSource::detect(&path).unwrap();
+        assert_eq!(source.format(), ModelFormat::Binary);
+        let Err(err) = source.load_identifier() else {
+            panic!("a version-1 file must be rejected");
+        };
+        assert!(
+            matches!(err, PersistenceError::UnsupportedVersion(1)),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("urlid pack"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn model_source_resolution_rules() {
         // Explicit formats never sniff.
         let src = ModelSource::resolve("whatever.bin", "binary").unwrap();
@@ -822,12 +846,20 @@ mod tests {
         let bundle = ModelBundle::train(&tiny_training(), &TrainingConfig::paper_best()).unwrap();
         bundle.pack(&path).unwrap();
         let report = inspect_model(&path).unwrap();
-        for section in [
-            "META", "ARENA", "BOUNDS", "HASHES", "TABLE", "MATRIX", "MATRIX32", "MODELS",
-        ] {
-            assert!(report.contains(section), "missing {section} in:\n{report}");
-        }
-        assert!(report.contains("urlm v1"), "{report}");
+        // The section table lists exactly these sections, in file order.
+        let listed: Vec<&str> = report
+            .lines()
+            .skip(3)
+            .take_while(|line| !line.trim_start().starts_with("model:"))
+            .filter_map(|line| line.split_whitespace().next())
+            .collect();
+        assert_eq!(
+            listed,
+            ["META", "ARENA", "BOUNDS", "HASHES", "TABLE", "MATRIX", "MODELS"],
+            "{report}"
+        );
+        assert!(report.contains("7 sections"), "{report}");
+        assert!(report.contains("urlm v2"), "{report}");
         assert!(report.contains("NaiveBayes"), "{report}");
         std::fs::remove_file(&path).ok();
     }

@@ -18,7 +18,8 @@
 //! magic bytes (`--format` forces one where ambiguity matters).
 //!
 //! The argument parser is hand-rolled (no extra dependencies); every
-//! subcommand prints usage on `--help`. The binary lives in the
+//! subcommand declares the flags it takes, rejects any other one, and
+//! prints usage on `--help`. The binary lives in the
 //! `urlid-serve` crate (not `urlid` core) because the `serve` subcommand
 //! needs the serving layer, which itself depends on core.
 
@@ -54,12 +55,13 @@ USAGE:
                   GIS convergence deltas for maxent — same model bytes.
                   an --out ending in .urlm writes the binary format
                   directly; anything else writes JSON)
-  urlid identify --model <model> [<url> ...]           (reads stdin when no URLs given)
-  urlid evaluate --model <model> --data <dataset.json>
+  urlid identify --model <model> [--format auto|json|binary] [<url> ...]
+                 (reads stdin when no URLs given)
+  urlid evaluate --model <model> --data <dataset.json> [--format auto|json|binary]
   urlid pack     --model <model.json> --out <model.urlm>
                  (convert a JSON model to the page-aligned, checksummed,
                   mmap-servable .urlm binary format)
-  urlid inspect  <model.urlm>
+  urlid inspect  <model.urlm>   (or --model <model.urlm>)
                  (print header, section table with offsets/checksums,
                   and model cardinalities)
   urlid loadtime --model <model> [--format auto|json|binary] [--repeat <n>]
@@ -69,16 +71,13 @@ USAGE:
   urlid serve    --model <model> [--format auto|json|binary]
                  [--addr <host:port>] [--threads <n>]
                  [--reactors <n>] [--max-inflight <n>] [--cache-capacity <n>]
-                 [--weights f64|f32] [--telemetry on|off] [--slow-ms <n>]
+                 [--telemetry on|off] [--slow-ms <n>]
                  (--threads sizes the scoring pool; connections are
                   multiplexed by --reactors event-loop threads, each
                   owning its own SO_REUSEPORT listener and cache shard
                   set; 0 = min(cores, 4), the default.
                   --max-inflight caps scoring-pool requests per reactor;
                   the excess is answered 503 — 0 = unlimited, default 32.
-                  --weights f32 serves the quantised f32 weight lane:
-                  half the matrix bytes, identical decisions, scores
-                  within the documented tolerance.
                   --telemetry off disables stage spans and /admin/trace
                   buffering; counters and latency stay on.
                   --slow-ms logs requests slower than n ms to stderr,
@@ -88,6 +87,78 @@ USAGE:
 /// Flags that take no value: present or absent.
 const BOOLEAN_FLAGS: &[&str] = &["verbose"];
 
+/// A subcommand: its name, the flags it accepts and what runs it.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args) -> Result<(), String>,
+}
+
+/// Every subcommand. [`Args::parse`] rejects a flag its command does
+/// not list, so a misspelt or retired option fails instead of being
+/// silently ignored.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        flags: &["out", "seed", "scale", "jobs"],
+        run: cmd_generate,
+    },
+    Command {
+        name: "train",
+        flags: &[
+            "data",
+            "out",
+            "features",
+            "algorithm",
+            "seed",
+            "jobs",
+            "shards",
+            "verbose",
+        ],
+        run: cmd_train,
+    },
+    Command {
+        name: "identify",
+        flags: &["model", "format"],
+        run: cmd_identify,
+    },
+    Command {
+        name: "evaluate",
+        flags: &["model", "data", "format"],
+        run: cmd_evaluate,
+    },
+    Command {
+        name: "pack",
+        flags: &["model", "out"],
+        run: cmd_pack,
+    },
+    Command {
+        name: "inspect",
+        flags: &["model"],
+        run: cmd_inspect,
+    },
+    Command {
+        name: "loadtime",
+        flags: &["model", "format", "repeat"],
+        run: cmd_loadtime,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            "model",
+            "format",
+            "addr",
+            "threads",
+            "reactors",
+            "max-inflight",
+            "cache-capacity",
+            "telemetry",
+            "slow-ms",
+        ],
+        run: cmd_serve,
+    },
+];
+
 /// A tiny `--key value` argument map (plus the boolean flags above).
 #[derive(Debug, Default)]
 struct Args {
@@ -96,7 +167,8 @@ struct Args {
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `args` for `command`, accepting only the flags it lists.
+    fn parse(command: &Command, args: &[String]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut i = 0;
         while i < args.len() {
@@ -104,6 +176,12 @@ impl Args {
             if let Some(key) = a.strip_prefix("--") {
                 if key == "help" {
                     return Err(USAGE.to_owned());
+                }
+                if !command.flags.contains(&key) {
+                    return Err(format!(
+                        "unknown flag --{key} for `urlid {}`\n\n{USAGE}",
+                        command.name
+                    ));
                 }
                 if BOOLEAN_FLAGS.contains(&key) {
                     out.flags.insert(key.to_owned(), "true".to_owned());
@@ -444,24 +522,18 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .unwrap_or("65536")
         .parse()
         .map_err(|_| "bad --cache-capacity")?;
-    let f32_weights = match args.get("weights").unwrap_or("f64") {
-        "f64" => false,
-        "f32" => true,
-        other => return Err(format!("unknown --weights {other:?} (f64|f32)")),
-    };
     let state = Arc::new(ServerState::with_topology(
         identifier,
         Some(model_path.clone()),
         cache_capacity,
         urlid_serve::cache::ResultCache::DEFAULT_SHARDS,
         config.reactors,
-        f32_weights,
+        false,
     ));
     state.set_load_info(model_format, load_ms);
-    let lane = if f32_weights { "f32" } else { "f64" };
     let handle = spawn(&config, state).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     eprintln!(
-        "serving {} on http://{} ({model_format} model, loaded in {load_ms:.1} ms; {} reactors on {} I/O, {lane} weights; cache capacity {cache_capacity}; POST /admin/reload to hot-swap)",
+        "serving {} on http://{} ({model_format} model, loaded in {load_ms:.1} ms; {} reactors on {} I/O; cache capacity {cache_capacity}; POST /admin/reload to hot-swap)",
         model_path.display(),
         handle.addr(),
         config.reactors,
@@ -479,19 +551,17 @@ fn run() -> Result<(), String> {
     let Some(command) = argv.first() else {
         return Err(USAGE.to_owned());
     };
-    let args = Args::parse(&argv[1..])?;
-    match command.as_str() {
-        "generate" => cmd_generate(&args),
-        "train" => cmd_train(&args),
-        "identify" => cmd_identify(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "pack" => cmd_pack(&args),
-        "inspect" => cmd_inspect(&args),
-        "loadtime" => cmd_loadtime(&args),
-        "serve" => cmd_serve(&args),
-        "--help" | "help" => Err(USAGE.to_owned()),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    if command == "--help" || command == "help" {
+        return Err(USAGE.to_owned());
     }
+    let command =
+        command_named(command).ok_or_else(|| format!("unknown command {command:?}\n\n{USAGE}"))?;
+    let args = Args::parse(command, &argv[1..])?;
+    (command.run)(&args)
+}
+
+fn command_named(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
 }
 
 fn main() -> ExitCode {
@@ -508,8 +578,34 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn strings(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse_for(command: &str, parts: &[&str]) -> Result<Args, String> {
+        Args::parse(command_named(command).unwrap(), &strings(parts))
+    }
+
+    /// Parse with a command that accepts every flag the option parsers
+    /// and `cmd_generate` read in the tests below.
     fn args_of(parts: &[&str]) -> Args {
-        Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        const ANY: Command = Command {
+            name: "test",
+            flags: &[
+                "model",
+                "data",
+                "out",
+                "features",
+                "algorithm",
+                "seed",
+                "scale",
+                "jobs",
+                "shards",
+                "verbose",
+            ],
+            run: |_| Ok(()),
+        };
+        Args::parse(&ANY, &strings(parts)).unwrap()
     }
 
     #[test]
@@ -523,7 +619,7 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let r = Args::parse(&["--seed".to_string()]);
+        let r = parse_for("train", &["--seed"]);
         assert!(r.is_err());
     }
 
@@ -604,8 +700,52 @@ mod tests {
 
     #[test]
     fn help_flag_returns_usage() {
-        let r = Args::parse(&["--help".to_string()]);
+        let r = parse_for("serve", &["--help"]);
         assert!(r.unwrap_err().contains("USAGE"));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name_with_the_usage() {
+        for parts in [
+            ["--model", "m.urlm", "--weights", "f32"],
+            ["--model", "m.urlm", "--io", "uring"],
+        ] {
+            let err = parse_for("serve", &parts).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {}", parts[2])), "{err}");
+            assert!(err.contains("USAGE"), "{err}");
+        }
+        // A flag another subcommand takes is still unknown here.
+        let err = parse_for("generate", &["--model", "m.json"]).unwrap_err();
+        assert!(err.contains("unknown flag --model"), "{err}");
+        let err = parse_for("loadtime", &["--model", "x", "--bogus", "1"]).unwrap_err();
+        assert!(err.contains("unknown flag --bogus"), "{err}");
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_parses_for_its_subcommand() {
+        let mut command = None;
+        let mut checked = 0;
+        for line in USAGE.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("urlid ") {
+                command = command_named(rest.split_whitespace().next().unwrap());
+            }
+            let Some(command) = command else { continue };
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                let Some(flag) = word.strip_prefix("--") else {
+                    continue;
+                };
+                let parts = if BOOLEAN_FLAGS.contains(&flag) {
+                    vec![word.to_owned()]
+                } else {
+                    vec![word.to_owned(), "1".to_owned()]
+                };
+                let parsed = Args::parse(command, &parts)
+                    .unwrap_or_else(|e| panic!("urlid {} {word}: {e}", command.name));
+                assert!(parsed.has(flag));
+                checked += 1;
+            }
+        }
+        assert!(checked >= 25, "only {checked} flags found in the usage");
     }
 
     #[test]
@@ -614,6 +754,7 @@ mod tests {
             "generate", "train", "identify", "evaluate", "pack", "inspect", "loadtime", "serve",
         ] {
             assert!(USAGE.contains(cmd), "{cmd} missing from usage");
+            assert!(command_named(cmd).is_some(), "{cmd} has no flag table");
         }
     }
 }

@@ -15,7 +15,9 @@
 //!   depth is bounded by `serde_json::RECURSION_LIMIT`;
 //! * strings and numbers are read by `serde_json::lex`, the lexer of the
 //!   parser itself, so escapes, surrogate pairs and number syntax, and
-//!   their messages, have one implementation.
+//!   their messages, have one implementation; the structural messages
+//!   (a missing `,` or bracket, trailing characters, the nesting limit)
+//!   come from the same module.
 //!
 //! The scanner accepts exactly the bodies that decoding with
 //! `serde_json` and reading the first `url`/`urls` field accepts, and it
@@ -164,7 +166,7 @@ impl<'a> Cursor<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
+            Err(lex::expected(b, self.pos).to_string())
         }
     }
 
@@ -180,7 +182,7 @@ impl<'a> Cursor<'a> {
     /// Open an array or object at `pos`, or fail at the nesting limit.
     fn enter(&mut self) -> Result<(), String> {
         if self.depth == RECURSION_LIMIT {
-            return Err(format!("recursion limit exceeded at offset {}", self.pos));
+            return Err(lex::recursion_limit(self.pos).to_string());
         }
         self.depth += 1;
         self.pos += 1;
@@ -224,7 +226,7 @@ impl<'a> Cursor<'a> {
                             self.pos += 1;
                             break;
                         }
-                        _ => return Err(format!("expected ',' or '}}' at {}", self.pos)),
+                        _ => return Err(lex::expected_separator(b'}', self.pos).to_string()),
                     }
                 }
             }
@@ -234,7 +236,7 @@ impl<'a> Cursor<'a> {
         }
         self.skip_ws();
         if self.pos != self.text.len() {
-            return Err(format!("trailing characters at offset {}", self.pos));
+            return Err(lex::trailing_characters(self.pos).to_string());
         }
         if !found {
             *shape_error = Some(shape.wrong_shape());
@@ -277,7 +279,7 @@ impl<'a> Cursor<'a> {
                             self.depth -= 1;
                             return Ok(());
                         }
-                        _ => return Err(format!("expected ',' or ']' at {}", self.pos)),
+                        _ => return Err(lex::expected_separator(b']', self.pos).to_string()),
                     }
                 }
             }
@@ -358,13 +360,7 @@ impl<'a> Cursor<'a> {
                 Some(c) if c == b'-' || c.is_ascii_digit() => {
                     lex::number(self.text, &mut self.pos).map_err(|e| e.to_string())?;
                 }
-                other => {
-                    return Err(format!(
-                        "unexpected {:?} at offset {}",
-                        other.map(|b| b as char),
-                        self.pos
-                    ))
-                }
+                other => return Err(lex::unexpected(other, self.pos).to_string()),
             }
             // A value ended: close every container it completes, and
             // stop at the next member or at the outermost end.
@@ -386,8 +382,8 @@ impl<'a> Cursor<'a> {
                         self.pos += 1;
                         self.depth -= 1;
                     }
-                    (_, false) => return Err(format!("expected ',' or ']' at {}", self.pos)),
-                    (_, true) => return Err(format!("expected ',' or '}}' at {}", self.pos)),
+                    (_, false) => return Err(lex::expected_separator(b']', self.pos).to_string()),
+                    (_, true) => return Err(lex::expected_separator(b'}', self.pos).to_string()),
                 }
             }
         }

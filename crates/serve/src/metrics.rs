@@ -27,6 +27,13 @@ use urlid_telemetry::{AtomicHistogram, Histogram, SlowLog, SpanRecord, Stage, Tr
 /// reports keep parsing.
 pub const IO_BACKEND: &str = "epoll";
 
+/// The weight type the compiled plane scores with, as reported by
+/// `/healthz` and `/metrics` (`model.weights`), `/admin/reload`
+/// (`weights`) and the Prometheus `urlid_model_info{weights=…}` label.
+/// Every served score is the exact `f64` score; the field stays so
+/// scrapers and saved bench reports keep parsing.
+pub const WEIGHTS: &str = "f64";
+
 /// Trace ring stripes. Reactor `r` records into stripe `r %
 /// TRACE_STRIPES`; worker `i` records into `1 + (i % 7)` — recording
 /// is a try-lock, so stripe collisions cost dropped spans at worst,
@@ -113,10 +120,12 @@ pub struct Metrics {
     /// `threads.reactor` more; together they are the server's whole
     /// thread budget).
     pub scoring_threads: AtomicU64,
-    /// End-to-end latency (reactor dispatch → response handed to the
-    /// socket) of `/identify` and `/identify_batch` — protocol-level
-    /// `400`/`413` rejects included, so overload percentiles are
-    /// honest.
+    /// End-to-end latency (reactor dispatch → response ready to write)
+    /// of `/identify` and `/identify_batch` — protocol-level `400`/`413`
+    /// rejects included, so overload percentiles are honest. Recorded
+    /// before the response is written, so a client that has read its
+    /// response always finds it counted; the socket write itself is the
+    /// `write` stage.
     pub latency: AtomicHistogram,
     /// Slow-request log decisions (threshold-gated, rate-limited).
     pub slow: SlowLog,

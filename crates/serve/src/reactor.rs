@@ -29,6 +29,15 @@
 //! like every other route, so one large body never stalls this
 //! reactor's other connections.
 //!
+//! ## Latency
+//!
+//! The end-to-end latency sample of an `/identify` or `/identify_batch`
+//! request is recorded once its response is ready and *before*
+//! [`Conn::complete`] writes it, whether this thread or the pool
+//! produced the answer. A client that has read its response and then
+//! scrapes `/metrics` therefore always finds its request counted. The
+//! socket write is timed separately, as the `write` stage.
+//!
 //! ## Admission control
 //!
 //! Each reactor caps how many of its requests may sit in the scoring
@@ -343,7 +352,8 @@ impl Reactor {
 
     /// Write a response answered on this thread into the connection, the
     /// way [`Reactor::drain_completions`] delivers a pool completion, and
-    /// return the connection's next step.
+    /// return the connection's next step. The latency is recorded before
+    /// the write, as there (see [`Reactor::drain_completions`]).
     fn answer_inline(
         &mut self,
         idx: usize,
@@ -360,16 +370,15 @@ impl Reactor {
             request.keep_alive,
             self.index as u64,
         );
-        let step = self.slots[idx].conn.as_mut().expect("resolved").complete(
+        self.state
+            .metrics()
+            .record_latency(urlid_telemetry::duration_micros(started.elapsed()));
+        self.slots[idx].conn.as_mut().expect("resolved").complete(
             response,
             request.keep_alive && !self.draining,
             request_id,
             started,
-        );
-        self.state
-            .metrics()
-            .record_latency(urlid_telemetry::duration_micros(started.elapsed()));
-        step
+        )
     }
 
     /// Push every finished response into its connection (stale tokens —
@@ -388,17 +397,13 @@ impl Reactor {
             let Some(idx) = self.resolve(completion.token) else {
                 continue;
             };
-            let keep_alive = completion.keep_alive && !self.draining;
-            let step = self.slots[idx].conn.as_mut().expect("resolved").complete(
-                completion.response,
-                keep_alive,
-                completion.request_id,
-                now,
-            );
-            // End-to-end: reactor pick-up → response flushed to the
-            // socket (the `complete` call above ran the write pass).
-            // `saturating` because the completion may land within the
-            // same loop iteration as its dispatch.
+            // End-to-end: reactor pick-up → response ready to write.
+            // Recorded *before* `complete` runs the write pass, so a
+            // client that has read its response can never scrape
+            // `/metrics` ahead of its own request's sample; the socket
+            // write itself is timed by the `write` stage. `saturating`
+            // because the completion may land within the same loop
+            // iteration as its dispatch.
             if completion.record_latency {
                 self.state
                     .metrics()
@@ -406,6 +411,13 @@ impl Reactor {
                         Instant::now().saturating_duration_since(completion.started),
                     ));
             }
+            let keep_alive = completion.keep_alive && !self.draining;
+            let step = self.slots[idx].conn.as_mut().expect("resolved").complete(
+                completion.response,
+                keep_alive,
+                completion.request_id,
+                now,
+            );
             self.apply(idx, step, now);
         }
     }

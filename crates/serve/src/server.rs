@@ -56,7 +56,7 @@
 use crate::body::{self, Keys, Shape};
 use crate::cache::{CachedScores, ResultCache};
 use crate::http::{Request, MAX_BODY_BYTES};
-use crate::metrics::{Metrics, IO_BACKEND};
+use crate::metrics::{Metrics, IO_BACKEND, WEIGHTS};
 use crate::pool::{CompletionPort, ScoringPool};
 use crate::reactor::Reactor;
 use crate::sys::{WakePipe, Waker};
@@ -225,8 +225,8 @@ pub struct ReloadReport {
     pub epoch: u64,
     /// The persistence format the new model was decoded from.
     pub format: ModelFormat,
-    /// Wall-clock milliseconds spent loading (file → ready identifier,
-    /// weight-lane selection included; the pointer swap is not).
+    /// Wall-clock milliseconds spent loading (file → ready identifier;
+    /// the pointer swap is not included).
     pub load_ms: f64,
 }
 
@@ -237,10 +237,6 @@ pub struct ServerState {
     slot: RwLock<ModelSlot>,
     cache: ResultCache,
     metrics: Metrics,
-    /// Serve the compiled plane's quantised `f32` weight lane instead of
-    /// the exact `f64` default. Remembered here so `/admin/reload`
-    /// re-applies the lane to every freshly loaded model.
-    f32_weights: bool,
 }
 
 impl ServerState {
@@ -262,66 +258,40 @@ impl ServerState {
         model_path: Option<PathBuf>,
         cache_capacity: usize,
     ) -> Self {
-        Self::with_shards(
-            identifier,
-            model_path,
-            cache_capacity,
-            ResultCache::DEFAULT_SHARDS,
-        )
-    }
-
-    /// [`ServerState::new`] with an explicit shard count.
-    pub fn with_shards(
-        identifier: LanguageIdentifier,
-        model_path: Option<PathBuf>,
-        cache_capacity: usize,
-        cache_shards: usize,
-    ) -> Self {
-        Self::with_weights(identifier, model_path, cache_capacity, cache_shards, false)
-    }
-
-    /// [`ServerState::with_shards`] plus a weight-lane choice: with
-    /// `f32_weights` the identifier's compiled plane is re-compiled to
-    /// the quantised `f32` lane (half the matrix bytes, documented score
-    /// tolerance, identical accept/reject decisions in practice — see
-    /// the README's compiled-plane section), and every model swapped in
-    /// by `POST /admin/reload` gets the same treatment.
-    pub fn with_weights(
-        identifier: LanguageIdentifier,
-        model_path: Option<PathBuf>,
-        cache_capacity: usize,
-        cache_shards: usize,
-        f32_weights: bool,
-    ) -> Self {
         Self::with_topology(
             identifier,
             model_path,
             cache_capacity,
-            cache_shards,
+            ResultCache::DEFAULT_SHARDS,
             1,
-            f32_weights,
+            false,
         )
     }
 
-    /// [`ServerState::with_weights`] plus an explicit cache shard-set
-    /// count. Size `cache_sets` to the reactor count you will serve
-    /// with: reactor `r` probes only set `r % cache_sets`, so with one
-    /// set per reactor no cache stripe is ever contended across
+    /// [`ServerState::new`] plus an explicit cache shard count and
+    /// shard-set count. Size `cache_sets` to the reactor count you will
+    /// serve with: reactor `r` probes only set `r % cache_sets`, so with
+    /// one set per reactor no cache stripe is ever contended across
     /// reactors. The capacity is split evenly across the sets.
+    ///
+    /// The last parameter is removed: it chose a second weight type,
+    /// which no longer exists. It stays only so existing callers keep
+    /// compiling, and it must be `false`.
+    ///
+    /// # Panics
+    /// Panics if the removed parameter is `true`.
     pub fn with_topology(
-        mut identifier: LanguageIdentifier,
+        identifier: LanguageIdentifier,
         model_path: Option<PathBuf>,
         cache_capacity: usize,
         cache_shards: usize,
         cache_sets: usize,
-        f32_weights: bool,
+        removed_f32_weights: bool,
     ) -> Self {
-        if f32_weights {
-            // `set_weight_lane`, not `compile_f32`: flipping the lane
-            // preference keeps an `mmap`-backed plane mapped, where a
-            // recompile would silently rebuild it on the heap.
-            identifier.classifier_set_mut().set_weight_lane(true);
-        }
+        assert!(
+            !removed_f32_weights,
+            "the f32 weight lane was removed; every score is the exact f64 score"
+        );
         Self {
             slot: RwLock::new(ModelSlot {
                 identifier: Arc::new(identifier),
@@ -332,7 +302,6 @@ impl ServerState {
             }),
             cache: ResultCache::with_sets(cache_capacity, cache_shards, cache_sets),
             metrics: Metrics::new(),
-            f32_weights,
         }
     }
 
@@ -412,14 +381,9 @@ impl ServerState {
         let source = ModelSource::resolve(&path, format)
             .map_err(|e| format!("cannot reload {}: {e}", path.display()))?;
         let started = Instant::now();
-        let mut identifier = source
+        let identifier = source
             .load_identifier()
             .map_err(|e| format!("cannot reload {}: {e}", path.display()))?;
-        if self.f32_weights {
-            // Lane flip, not recompile: a binary-loaded plane keeps its
-            // mmap-backed lanes (`.urlm` always carries the f32 lane).
-            identifier.classifier_set_mut().set_weight_lane(true);
-        }
         let load_ms = started.elapsed().as_secs_f64() * 1e3;
         let format = source.format();
         let identifier = Arc::new(identifier);
@@ -737,12 +701,7 @@ fn model_value(status: &ModelStatus) -> Value {
         Value::Str(config.feature_set.short_label().to_owned()),
     );
     o.insert("epoch", Value::Uint(status.epoch));
-    // Which weight lane the compiled plane serves: exact "f64" or the
-    // opt-in quantised "f32" (`urlid serve --weights f32`).
-    o.insert(
-        "weights",
-        Value::Str(identifier.classifier_set().weight_lane().to_owned()),
-    );
+    o.insert("weights", Value::Str(WEIGHTS.to_owned()));
     // Persistence provenance: which on-disk format the model was
     // decoded from ("json" | "binary"), how long that load took, and
     // whether the compiled plane still serves straight out of the
@@ -1121,7 +1080,7 @@ pub fn prometheus_text(state: &ServerState) -> String {
         &[
             ("algorithm", config.algorithm.abbrev()),
             ("features", config.feature_set.short_label()),
-            ("weights", identifier.classifier_set().weight_lane()),
+            ("weights", WEIGHTS),
             (
                 "format",
                 status.format.map(|f| f.as_str()).unwrap_or("none"),
@@ -1225,10 +1184,7 @@ fn handle_reload(state: &ServerState, req: &Request) -> (u16, String) {
             let mut o = Value::object();
             o.insert("reloaded", Value::Bool(true));
             o.insert("format", Value::Str(report.format.as_str().to_owned()));
-            o.insert(
-                "weights",
-                Value::Str(status.identifier.classifier_set().weight_lane().to_owned()),
-            );
+            o.insert("weights", Value::Str(WEIGHTS.to_owned()));
             o.insert("load_ms", Value::Float(report.load_ms));
             o.insert("model", model_value(&status));
             (200, serde_json::to_string(&o).expect("response serialises"))

@@ -387,6 +387,55 @@ fn metrics_reports_counters_cache_and_latency() {
     server.shutdown();
 }
 
+/// A client that has read its response must find that request in the
+/// latency histogram when it scrapes `/metrics` right after, on a fresh
+/// connection that may land on another reactor. Four clients alternate
+/// a repeated URL (a cache hit, answered on the reactor) and a new URL
+/// (a miss, answered through the pool), so both write paths are
+/// covered. Every scrape must count at least every response any client
+/// had read before it started, and the final count is exact. A sample
+/// recorded only after its response is written fails the floor within
+/// a few hundred rounds; the clients' contention for the cores is what
+/// makes that ordering show.
+#[test]
+fn latency_counts_every_answered_request_before_the_client_reads_it() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const CLIENTS: u64 = 4;
+    const ROUNDS: u64 = 1000;
+    let server = start_server(1024);
+    let addr = server.addr();
+    let answered = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let answered = &answered;
+            scope.spawn(move || {
+                for round in 1..=ROUNDS {
+                    let body = if round % 2 == 1 {
+                        "{\"url\": \"http://www.beispiel.de/\"}".to_owned()
+                    } else {
+                        format!("{{\"url\": \"http://www.seite-{client}-{round}.de/\"}}")
+                    };
+                    let (status, _) = request(addr, "POST", "/identify", Some(&body));
+                    assert_eq!(status, 200);
+                    let floor = answered.fetch_add(1, Ordering::SeqCst) + 1;
+                    let (status, metrics) = request(addr, "GET", "/metrics", None);
+                    assert_eq!(status, 200);
+                    let count = uint_of(metrics.get("latency").expect("latency"), "count");
+                    assert!(
+                        count >= floor,
+                        "client {client} round {round}: latency.count {count} < {floor} answered"
+                    );
+                }
+            });
+        }
+    });
+    let (status, metrics) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let latency = metrics.get("latency").expect("latency");
+    assert_eq!(uint_of(latency, "count"), CLIENTS * ROUNDS);
+    server.shutdown();
+}
+
 /// Raw request writer for tests that need extra headers (Accept) or
 /// deliberately broken request lines.
 fn raw_request(addr: SocketAddr, request: &str) -> String {

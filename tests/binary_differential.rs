@@ -6,14 +6,10 @@
 //! runtime structures (mmap + validate + cast, no deserialisation).
 //! A packed model must therefore be **indistinguishable** from the
 //! JSON-loaded one — bit-identical scores, not merely close — for all
-//! fifteen algorithm × feature recipes, on both weight lanes:
+//! fifteen algorithm × feature recipes, on both scoring paths:
 //!
-//! * the exact `f64` lane (the mapped matrix is the same bytes the
+//! * the compiled plane (the mapped matrix is the same bytes the
 //!   compiler produced);
-//! * the quantised `f32` lane (`.urlm` always carries the `MATRIX32`
-//!   section, produced by the same deterministic quantisation that
-//!   `compile_f32` performs — so a mapped f32 lane and a recompiled
-//!   one must agree to the bit);
 //! * the interpreted oracle (the `MODELS` section round-trips the
 //!   training-time models, so `score_all_interpreted` works on
 //!   binary-loaded sets too).
@@ -112,27 +108,6 @@ fn every_recipe_packs_and_serves_bit_identically_on_both_lanes() {
                     "{tag}: interpreted scores diverge on {url}"
                 );
             }
-
-            // Quantised f32 lane: the packed MATRIX32 section against a
-            // lane recompiled from the JSON-loaded model.
-            let mut from_json = from_json;
-            let mut from_urlm = from_urlm;
-            assert_eq!(from_json.classifier_set_mut().set_weight_lane(true), "f32");
-            assert_eq!(from_urlm.classifier_set_mut().set_weight_lane(true), "f32");
-            for url in &sample {
-                assert_eq!(
-                    from_json.classifier_set().score_all(url),
-                    from_urlm.classifier_set().score_all(url),
-                    "{tag}: f32 scores diverge on {url}"
-                );
-            }
-            // Flipping back restores the exact lane.
-            assert_eq!(from_urlm.classifier_set_mut().set_weight_lane(false), "f64");
-            let url = &sample[0];
-            assert_eq!(
-                from_json.classifier_set().score_all_interpreted(url),
-                from_urlm.classifier_set().score_all_interpreted(url),
-            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
